@@ -32,6 +32,7 @@ struct FarfieldGpuOptions {
   std::uint32_t max_waves = 2;
   /// Host threads for the timing executor (forwarded to
   /// TimingOptions::threads; results are bit-identical for any value).
+  /// Extra threads only pay off with spare host cores.
   std::uint32_t sim_threads = 1;
   /// SMs to simulate (forwarded to TimingOptions::sim_sms; 0 = all). DRAM
   /// bandwidth scales proportionally, so per-SM behaviour matches.

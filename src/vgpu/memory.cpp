@@ -8,24 +8,22 @@ namespace vgpu {
 Buffer GlobalMemory::alloc(std::size_t bytes) {
   VGPU_EXPECTS_MSG(bytes > 0, "zero-size allocation");
   cursor_ = (cursor_ + 255u) & ~static_cast<std::size_t>(255u);
-  VGPU_EXPECTS_MSG(cursor_ + bytes <= data_.size(), "device out of memory");
+  VGPU_EXPECTS_MSG(cursor_ + bytes <= size_, "device out of memory");
   Buffer b{static_cast<GAddr>(cursor_), static_cast<std::uint32_t>(bytes)};
   cursor_ += bytes;
   return b;
 }
 
 void GlobalMemory::write(GAddr addr, std::span<const std::byte> src) {
-  VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + src.size() <= data_.size(),
+  VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + src.size() <= size_,
                    "host->device copy out of bounds");
-  std::copy(src.begin(), src.end(), data_.begin() + addr);
+  std::copy(src.begin(), src.end(), data_.get() + addr);
 }
 
 void GlobalMemory::read(GAddr addr, std::span<std::byte> dst) const {
-  VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + dst.size() <= data_.size(),
+  VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + dst.size() <= size_,
                    "device->host copy out of bounds");
-  std::copy(data_.begin() + addr,
-            data_.begin() + addr + static_cast<std::ptrdiff_t>(dst.size()),
-            dst.begin());
+  std::copy(data_.get() + addr, data_.get() + addr + dst.size(), dst.begin());
 }
 
 std::uint32_t bank_conflict_degree(std::span<const std::uint32_t> addrs,

@@ -3,13 +3,18 @@
 // GlobalMemory models the board's DRAM: a flat byte space with a bump
 // allocator (CUDA 1.x kernels cannot allocate dynamically, so a linear
 // allocator mirrors cudaMalloc well enough) and bounds-checked accessors.
+// Its storage is demand-zero: a fresh device reads zero everywhere, but
+// the host commits only the pages a run touches.
 // SharedMemory models one block's on-chip scratchpad including the
 // 16-bank organisation that determines access serialization.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -29,9 +34,15 @@ struct Buffer {
 
 class GlobalMemory {
  public:
-  explicit GlobalMemory(std::size_t bytes) : data_(bytes) {}
+  /// calloc hands a large block out as a fresh anonymous mapping, whose
+  /// pages the kernel zero-fills on first touch - so provisioning a 512 MiB
+  /// device costs nothing until the run writes to it.
+  explicit GlobalMemory(std::size_t bytes)
+      : data_(static_cast<std::byte*>(std::calloc(bytes, 1))), size_(bytes) {
+    if (data_ == nullptr && bytes != 0) throw std::bad_alloc();
+  }
 
-  [[nodiscard]] std::size_t capacity() const { return data_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return size_; }
   [[nodiscard]] std::size_t allocated() const { return cursor_; }
 
   /// cudaMalloc analogue; 256-byte aligned like the real allocator, which is
@@ -42,17 +53,17 @@ class GlobalMemory {
   void reset() { cursor_ = 0; }
 
   [[nodiscard]] std::uint32_t load_u32(GAddr addr) const {
-    VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + 4 <= data_.size(),
+    VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + 4 <= size_,
                      "global load out of bounds");
     std::uint32_t v;
-    std::memcpy(&v, data_.data() + addr, 4);
+    std::memcpy(&v, data_.get() + addr, 4);
     return v;
   }
 
   void store_u32(GAddr addr, std::uint32_t v) {
-    VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + 4 <= data_.size(),
+    VGPU_EXPECTS_MSG(static_cast<std::size_t>(addr) + 4 <= size_,
                      "global store out of bounds");
-    std::memcpy(data_.data() + addr, &v, 4);
+    std::memcpy(data_.get() + addr, &v, 4);
   }
 
   /// Host-side bulk access (cudaMemcpy analogue).
@@ -60,7 +71,11 @@ class GlobalMemory {
   void read(GAddr addr, std::span<std::byte> dst) const;
 
  private:
-  std::vector<std::byte> data_;
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::byte[], Free> data_;
+  std::size_t size_ = 0;
   std::size_t cursor_ = 0;
 };
 

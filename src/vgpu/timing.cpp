@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -85,8 +86,8 @@ struct ResidentBlock {
   std::vector<std::uint32_t> load_ring_pos;  ///< per warp
   /// Bumped on every dispatch into this slot. A deferred DRAM completion
   /// snapshots the generation it targets; the bucket merge drops the
-  /// scoreboard write when the block has since retired (the serial order is
-  /// write-then-reset, so a stale write must not land in the new block).
+  /// scoreboard write when the block has since retired (the completion
+  /// belongs to the retired block's warp and must not land in the new one).
   std::uint64_t generation = 0;
   /// The fast path's hoisted scoreboard walk: per warp, the cached result
   /// of a pick_warp probe - the warp's next-instruction ready cycle
@@ -94,8 +95,8 @@ struct ResidentBlock {
   /// for done/at-barrier warps (kReadySkip). A cached probe is a compare
   /// instead of a peek + dependency walk; every event that could change the
   /// probe result invalidates the warp's entry: its own issue (ip moved),
-  /// any scoreboard write through set_slot_ready (covers serial load
-  /// completions and deferred merges; scoreboards are per-warp, so other
+  /// any scoreboard write through set_slot_ready (covers completions known
+  /// at issue and deferred merges; scoreboards are per-warp, so other
   /// warps' writes never affect this entry), a barrier release (ready_cycle
   /// bumped, at-barrier cleared), and a dispatch into the slot.
   std::vector<std::uint64_t> ready_cache;
@@ -132,10 +133,9 @@ struct HeapLater {
   }
 };
 
-/// Why an SM suspended mid-bucket (multi-threaded runs only). SMs park when
-/// the next action depends on shared state - the grid block queue or an
-/// unresolved DRAM completion - and the bucket driver resumes them in the
-/// serial order.
+/// Why an SM suspended mid-bucket. SMs park when the next action depends on
+/// shared state - the grid block queue or an unresolved DRAM completion -
+/// and the bucket driver resumes them in (pre-step cycle, SM id) order.
 enum class Park : std::uint8_t {
   kNone,
   kStall,     ///< nothing issueable before the bucket ends; exact jump
@@ -163,7 +163,7 @@ struct Sm {
   bool batch_ok = true;
   /// Per-SM texture cache: line tags in LRU order (front = most recent).
   std::vector<std::uint32_t> tex_lines;
-  // Parking state (deferred mode only).
+  // Parking state.
   Park park = Park::kNone;
   std::uint64_t park_order = 0;  ///< pre-step cycle of the parking step
   std::size_t park_slot = 0;     ///< kDispatch: slot awaiting a grid block
@@ -182,17 +182,10 @@ struct Sm {
   std::vector<HeapEntry> ready_heap;
   std::vector<std::uint8_t> asleep;
 
-  /// Cached has_work(): only do_dispatch installs or retires blocks, so it
-  /// alone updates this. The serial driver reads it once per step; walking
-  /// the slots there cost more than the step bookkeeping itself.
+  /// Some slot holds a block. Only do_dispatch installs or retires blocks,
+  /// so it alone updates this. run_sm reads it once per step; walking the
+  /// slots there cost more than the step bookkeeping itself.
   bool any_work = false;
-
-  [[nodiscard]] bool has_work() const {
-    for (const ResidentBlock& s : slots) {
-      if (s.exec) return true;
-    }
-    return false;
-  }
 };
 
 /// The post-step fields the cycle-charging switch needs from the issued
@@ -207,8 +200,8 @@ struct IssueView {
 
 /// One DRAM row-segment / texture-line transfer whose partition start time
 /// is resolved at the bucket merge. `service` is precomputed from
-/// bucket-independent inputs so the merge replays exactly the arithmetic the
-/// single-threaded executor would have done.
+/// bucket-independent inputs, so the merge's arithmetic does not depend on
+/// where the bucket boundaries fall.
 struct DeferredSeg {
   std::uint32_t partition = 0;
   std::uint32_t bytes = 0;
@@ -216,13 +209,13 @@ struct DeferredSeg {
   std::size_t event_idx = kNoEvent;  ///< reserved DramSpan slot, or kNoEvent
 };
 
-/// One memory operation with DRAM-dependent completion, recorded during the
-/// parallel phase and resolved at the bucket merge in serial (cycle, sm)
-/// order. Until then the destination scoreboard entries hold kNever: the
+/// One memory operation with DRAM-dependent completion, recorded while its
+/// SM steps through the bucket and resolved at the bucket merge in
+/// StepOrder. Until then the destination scoreboard entries hold kNever: the
 /// conservative bucket width guarantees the resolved value lands at or after
 /// the bucket end, so "still in flight" is the exact in-bucket answer.
 struct DeferredReq {
-  std::uint64_t order_cycle = 0;  ///< pre-step cycle: global merge key
+  std::uint64_t key = 0;          ///< pre-step cycle: global merge key
   double chan_floor = 0.0;        ///< SM clock when the channel was touched
   std::uint64_t comp_floor = 0;   ///< completion floor independent of DRAM
   std::uint64_t per_seg_extra = 0;  ///< added to each segment's end cycle
@@ -237,17 +230,15 @@ struct DeferredReq {
   std::uint32_t ring_idx = kNoRing;  ///< MSHR ring entry, or kNoRing
   /// Classification of the scoreboard write (kRsnGlobal/kRsnLocal/kRsnTex),
   /// upgraded to kRsnDramBusy at the merge when any segment queued behind
-  /// earlier channel traffic - the same queued test the serial path applies
-  /// at issue time, so the recorded reason is thread-count invariant.
+  /// earlier channel traffic; the merge order is fixed, so the recorded
+  /// reason is thread-count invariant.
   std::uint8_t base_reason = kRsnGlobal;
 };
 
-/// A buffered sink event. Multi-threaded runs cannot call the sink from
-/// worker threads, so events queue per SM and are replayed at the end of the
-/// run sorted by (key, sm, buffer index) - `key` is the pre-step cycle of
-/// the emitting step, and since the serial executor always steps the
-/// minimum-cycle SM (ties broken by lowest id), that order is exactly the
-/// single-threaded emission order.
+/// A buffered sink event. Workers cannot call the sink, and an SM runs a
+/// whole bucket before the others catch up, so events queue per SM and are
+/// replayed at the end of the run in StepOrder; `key` is the pre-step cycle
+/// of the emitting step.
 struct PendingEvent {
   std::uint64_t key = 0;
   std::variant<TimelineSink::BlockSpan, TimelineSink::IssueSpan,
@@ -272,6 +263,36 @@ struct WorkerCtx {
   /// the merged table is bit-identical at any thread count.
   std::vector<PcAttribution> attr;
 };
+
+/// A record in a per-SM vector, ordered by (key, SM id, index): the key is
+/// the pre-step cycle of the step that made it, so this is the order of a
+/// run that always steps the minimum-cycle SM, lowest id first. Every step
+/// strictly advances its SM's clock, so the order is total.
+struct StepOrder {
+  std::uint64_t key;
+  std::uint32_t sm;
+  std::uint32_t idx;
+  bool operator<(const StepOrder& o) const {
+    return std::tie(key, sm, idx) < std::tie(o.key, o.sm, o.idx);
+  }
+};
+
+/// Every record of `per_sm` (each with a `key`) in StepOrder.
+template <class T>
+std::vector<StepOrder> step_order(const std::vector<std::vector<T>>& per_sm) {
+  std::vector<StepOrder> order;
+  std::size_t total = 0;
+  for (const std::vector<T>& v : per_sm) total += v.size();
+  order.reserve(total);
+  for (std::size_t s = 0; s < per_sm.size(); ++s) {
+    for (std::size_t i = 0; i < per_sm[s].size(); ++i) {
+      order.push_back(StepOrder{per_sm[s][i].key, static_cast<std::uint32_t>(s),
+                                static_cast<std::uint32_t>(i)});
+    }
+  }
+  std::sort(order.begin(), order.end());
+  return order;
+}
 
 /// Sums the integer counters of `part` into `into`. Header fields (cycles,
 /// occupancy, blocks_*, extrapolation_factor, memo totals) are set once on
@@ -393,11 +414,10 @@ class WorkerPool {
   std::exception_ptr error_;
 };
 
-/// One timed launch. Single-threaded runs take the same step code the
-/// original executor ran; multi-threaded runs shard SMs across workers in
-/// conservative cycle buckets (docs/performance.md, "Multi-threaded
-/// timing") and must stay bit-identical to single-threaded - including
-/// cycles and the sink event stream.
+/// One timed launch: SMs step through conservative cycle buckets, sharded
+/// across `threads` workers (docs/performance.md, "Multi-threaded timing").
+/// Results - cycles and the sink event stream included - are bit-identical
+/// at every thread count.
 class TimedRun {
  public:
   TimedRun(const Program& prog, const DeviceSpec& spec, GlobalMemory& gmem,
@@ -425,7 +445,7 @@ class TimedRun {
   };
 
   void do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
-                   std::uint64_t when, std::uint64_t key, std::size_t reserved);
+                   std::uint64_t when, std::size_t reserved);
   [[nodiscard]] std::uint64_t dep_ready(const ResidentBlock& rb,
                                         std::uint32_t w,
                                         const Instruction& in) const;
@@ -449,6 +469,8 @@ class TimedRun {
   };
   [[nodiscard]] StallCause classify_stall(Sm& sm,
                                           std::uint64_t next_event) const;
+  void charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                    std::uint64_t next_event);
   /// Returns true when the whole run issued (k == run.len) and it ends in a
   /// fusable boundary memory op (DecodedRun::fuse_boundary) - sm_step may
   /// then fuse that op into the same dispatch if its own gates hold.
@@ -457,8 +479,7 @@ class TimedRun {
                  std::uint64_t bucket_end);
   void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                std::uint64_t bucket_end);
-  void run_serial();
-  void run_parallel();
+  void run_buckets();
   void worker_phase(std::uint32_t w);
   void run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
   void dispatch_waves();
@@ -466,7 +487,10 @@ class TimedRun {
   void finish_parked_stalls();
   void flush_events();
 
+  /// Reserves an event slot for a span known only later (kNoEvent when no
+  /// sink is attached).
   std::size_t reserve_event(std::uint32_t sm_id, std::uint64_t key) {
+    if (sink_ == nullptr) return kNoEvent;
     events_[sm_id].push_back(PendingEvent{key, TimelineSink::BlockSpan{}});
     return events_[sm_id].size() - 1;
   }
@@ -482,19 +506,11 @@ class TimedRun {
     sink_->on_global_request(s);
   }
 
-  /// Emits a sink event: directly when events can be forwarded in the
-  /// serial order as they happen, buffered per SM otherwise (multi-threaded
-  /// runs, and single-threaded batched runs - a batch emits its whole run
-  /// consecutively while the serial per-instruction executor interleaves
-  /// SMs, so order is restored by the (key, sm, idx) sort in flush_events).
-  /// Callers guard on sink_ != nullptr.
+  /// Buffers a sink event on its SM; flush_events restores the emission
+  /// order. Callers guard on sink_ != nullptr.
   template <class Span>
   void emit(std::uint32_t sm_id, std::uint64_t key, const Span& span) {
-    if (buffer_) {
-      events_[sm_id].push_back(PendingEvent{key, span});
-    } else {
-      forward(span);
-    }
+    events_[sm_id].push_back(PendingEvent{key, span});
   }
 
   // Inputs.
@@ -513,12 +529,10 @@ class TimedRun {
   std::uint32_t mshr_ = 1;
   std::uint32_t blocks_to_sim_ = 0;
   std::uint32_t nthreads_ = 1;
-  bool deferred_ = false;
   bool fast_ = false;
   bool batched_ = false;  ///< fast path with TimingOptions::batched
   bool specialized_ = false;  ///< batched_ with TimingOptions::specialized:
                               ///< traces, boundary fusion, ready-heap pick
-  bool buffer_ = false;   ///< sink events buffered per SM, flushed sorted
   bool classify_ = false;  ///< maintain stall-reason metadata (attribution
                            ///< requested or a sink is attached)
   bool attr_ = false;      ///< fill per-PC attribution tables (fast path)
@@ -530,8 +544,8 @@ class TimedRun {
   // Run state.
   std::vector<Sm> sms_;
   /// Per-partition busy-until times (fractional cycles); each partition
-  /// serves 1/partitions of the device bandwidth. In multi-threaded runs
-  /// only the bucket merge on the main thread touches this.
+  /// serves 1/partitions of the device bandwidth. Only the bucket merge on
+  /// the main thread touches this.
   std::vector<double> channel_;
   std::uint32_t next_block_ = 0;
   std::vector<WorkerCtx> workers_;
@@ -543,27 +557,22 @@ class TimedRun {
 };
 
 void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
-                           std::uint64_t when, std::uint64_t key,
-                           std::size_t reserved) {
+                           std::uint64_t when, std::size_t reserved) {
   ResidentBlock& rb = sm.slots[slot];
   sm.barrier_dirty = true;  // a fresh block's warps invalidate the elision
   sm.batch_ok = true;       // dispatch changes the candidate population
   if (sink_ != nullptr && rb.exec) {
-    const TimelineSink::BlockSpan span{sm_id, static_cast<std::uint32_t>(slot),
-                                       rb.block_id, warps_per_block_,
-                                       rb.start_cycle, when};
-    if (!buffer_) {
-      sink_->on_block(span);
-    } else if (reserved != kNoEvent) {
-      events_[sm_id][reserved] = PendingEvent{key, span};
-    } else {
-      events_[sm_id].push_back(PendingEvent{key, span});
-    }
+    // The retiring exit step reserved this event under its own key.
+    events_[sm_id][reserved].span = TimelineSink::BlockSpan{
+        sm_id, static_cast<std::uint32_t>(slot), rb.block_id,
+        warps_per_block_, rb.start_cycle, when};
   }
   ++rb.generation;  // in-flight loads of the retired block must not land
   if (next_block_ >= blocks_to_sim_) {
     rb.exec.reset();
-    sm.any_work = sm.has_work();
+    sm.any_work =
+        std::any_of(sm.slots.begin(), sm.slots.end(),
+                    [](const ResidentBlock& b) { return b.exec != nullptr; });
     return;
   }
   sm.any_work = true;
@@ -612,8 +621,8 @@ void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
 }
 
 // Scoreboard: earliest cycle at which every register/predicate the
-// instruction touches is available. In deferred mode an entry may hold the
-// kNever sentinel - "still in flight, resolved at the bucket merge".
+// instruction touches is available. An entry may hold the kNever sentinel -
+// "still in flight, resolved at the bucket merge".
 std::uint64_t TimedRun::dep_ready(const ResidentBlock& rb, std::uint32_t w,
                                   const Instruction& in) const {
   const std::size_t rbase = static_cast<std::size_t>(w) * prog_.reg_file_size;
@@ -691,7 +700,7 @@ void TimedRun::set_slot_ready(ResidentBlock& rb, std::uint32_t w,
 // Picks an issueable warp (loose round robin) considering both the issue
 // pipeline and the register scoreboard. When nothing is issueable,
 // next_event is the earliest known wake-up and `pending` flags whether some
-// candidate's wake-up is an unresolved DRAM completion (deferred mode).
+// candidate's wake-up is an unresolved DRAM completion.
 //
 // When the chosen warp is batch-eligible (converged at a run of len >= 2)
 // the scan continues over the remaining candidates: after an issue the
@@ -854,11 +863,10 @@ TimedRun::Pick TimedRun::pick_warp(Sm& sm, LaunchStats& stats) const {
 //
 // The walk recomputes ready cycles from concrete scoreboard state and
 // never touches the probe caches, so it is a pure read: batched and
-// unbatched dispatch, and any thread count, classify identically. In
-// deferred mode an unresolved (kNever) contributor can never attain
-// next_event (< bucket end <= any deferred completion), so candidates
-// with in-flight values are skipped exactly as the serial executor's
-// concrete values would dictate.
+// unbatched dispatch, and any thread count, classify identically. An
+// unresolved (kNever) contributor can never attain next_event (< bucket
+// end <= any deferred completion), so candidates with in-flight values are
+// skipped exactly as their resolved values would dictate.
 TimedRun::StallCause TimedRun::classify_stall(Sm& sm,
                                               std::uint64_t next_event) const {
   std::uint64_t at = 0;
@@ -953,6 +961,27 @@ TimedRun::StallCause TimedRun::classify_stall(Sm& sm,
   return StallCause{};
 }
 
+// Charges an SM-wide stall up to next_event - idle cycles, their cause and
+// the stall event - and jumps the SM clock there.
+void TimedRun::charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                            std::uint64_t next_event) {
+  VGPU_EXPECTS_MSG(next_event != kNever,
+                   "timing executor stalled (barrier deadlock?)");
+  const std::uint64_t idle = next_event - sm.cycle;
+  ctx.stats.sm_idle_cycles += idle;
+  StallCause cause;
+  if (classify_) {
+    cause = classify_stall(sm, next_event);
+    if (attr_) ctx.attr[cause.pc].stall_cycles[cause.reason] += idle;
+  }
+  if (sink_ != nullptr) {
+    emit(sm_id, sm.cycle,
+         TimelineSink::StallSpan{sm_id, sm.cycle, next_event,
+                                 static_cast<StallReason>(cause.reason)});
+  }
+  sm.cycle = next_event;
+}
+
 // Batched issue of a converged straight-line run: replays, in one step,
 // exactly what the per-instruction loop would have done for the longest
 // prefix of the run that is provably uninterrupted.
@@ -966,14 +995,14 @@ TimedRun::StallCause TimedRun::classify_stall(Sm& sm,
 // issue, the batch stops right before that reader and the shorter prefix
 // stays exact (instruction 0's reads were validated by pick_warp). No
 // scoreboard entry our run reads can change mid-run: other warps' loads
-// write other warps' scoreboards, serial completions are written at issue
-// time, and deferred merges only run between buckets. (3) After an issue
-// the round-robin cursor makes our warp the last candidate scanned, so
-// instruction j continues the run iff its issue cycle strictly beats every
-// other candidate's ready cycle (ties preempt: the other candidate is
-// scanned first). pick_warp's tail scan provides that bound; an unresolved
-// DRAM wake-up (deferred mode) resolves at or after the bucket end, so
-// `bucket_end` stands in for it exactly like the park-kStall reasoning.
+// write other warps' scoreboards, and deferred merges only run between
+// buckets. (3) After an issue the round-robin cursor makes our warp the
+// last candidate scanned, so instruction j continues the run iff its issue
+// cycle strictly beats every other candidate's ready cycle (ties preempt:
+// the other candidate is scanned first). pick_warp's tail scan provides
+// that bound; an unresolved DRAM wake-up resolves at or after the bucket
+// end, so `bucket_end` stands in for it exactly like the park-kStall
+// reasoning.
 //
 // Cycle, sm_issue_cycles, sm_idle_cycles, scoreboard writebacks and - with
 // a sink attached - the per-instruction Issue/Stall spans all match the
@@ -1148,7 +1177,7 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
   const Pick pick = pick_warp(sm, stats);
   if (pick.chosen < 0) {
     sm.batch_ok = true;  // nothing issueable: the population thinned
-    if (deferred_ && pick.pending && pick.next_event >= bucket_end) {
+    if (pick.pending && pick.next_event >= bucket_end) {
       // A candidate waits on an in-flight DRAM value whose exact arrival is
       // known only after the bucket merge, and every *known* wake-up is at
       // or past the bucket end (unresolved ones are too: the bucket width
@@ -1158,21 +1187,7 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       sm.park = Park::kStall;
       return;
     }
-    VGPU_EXPECTS_MSG(pick.next_event != kNever,
-                     "timing executor stalled (barrier deadlock?)");
-    const std::uint64_t idle = pick.next_event - sm.cycle;
-    stats.sm_idle_cycles += idle;
-    StallCause cause;
-    if (classify_) {
-      cause = classify_stall(sm, pick.next_event);
-      if (attr_) ctx.attr[cause.pc].stall_cycles[cause.reason] += idle;
-    }
-    if (sink_ != nullptr) {
-      emit(sm_id, sm.cycle,
-           TimelineSink::StallSpan{sm_id, sm.cycle, pick.next_event,
-                                   static_cast<StallReason>(cause.reason)});
-    }
-    sm.cycle = pick.next_event;
+    charge_stall(sm, sm_id, ctx, pick.next_event);
     return;
   }
   sm.rr = static_cast<std::uint32_t>(pick.chosen) + 1;
@@ -1196,7 +1211,8 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
     // cursor scans this warp last), the next pick is provably this same
     // warp at that memory op - skip the pick scan and issue it in the same
     // dispatch through the generic path below, which prices it exactly as
-    // a separate step would. The elided barrier-release scan is dead (a
+    // a separate step would. SMs touch no shared state inside a bucket, so
+    // the op may be of any kind. The elided barrier-release scan is dead (a
     // run issues no barriers/exits, so barrier_dirty stayed false) and the
     // elided `sm.rr` update is a no-op (same chosen index either way).
     if (!specialized_ || !fusable || pick.next_event <= sm.cycle ||
@@ -1204,16 +1220,6 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       return;
     }
     const DecodedInstr& bnd = *exec.peek_decoded(w);
-    if (!deferred_) {
-      // The serial driver interleaves SMs in minimum-cycle order on the
-      // shared DRAM timeline; only SM-local boundary steps (shared memory,
-      // constant cache) may run ahead of that order. In deferred mode SMs
-      // are independent until the bucket merge, so every kind fuses.
-      const StepResult::Kind bk = op_traits(bnd.op).kind;
-      if (bk != StepResult::Kind::kShared && bk != StepResult::Kind::kConst) {
-        return;
-      }
-    }
     // The boundary op's own dependencies, read after the run's writebacks
     // (issue_run already set ws.ready_cycle to the run end = sm.cycle).
     if (dep_ready_fast(rb, w, bnd) > sm.cycle) return;
@@ -1277,13 +1283,11 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       break;
     }
     case StepResult::Kind::kGlobal: {
-      std::uint64_t completion = sm.cycle;
       bool any_uncoalesced = false;
-      bool queued = false;  // any segment waited behind earlier DRAM traffic
       const std::uint32_t half = spec_.half_warp;
       const std::uint32_t wbytes = width_bytes(res.width);
       std::array<std::uint32_t, 16> addrs{};
-      const std::size_t seg_begin = deferred_ ? segs_[sm_id].size() : 0;
+      const std::size_t seg_begin = segs_[sm_id].size();
       for (std::uint32_t h = 0; h < spec_.warp_size / half; ++h) {
         std::uint32_t active = 0;
         for (std::uint32_t k = 0; k < half; ++k) {
@@ -1372,30 +1376,9 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
           const double service =
               txn_overhead / static_cast<double>(nsegs) +
               static_cast<double>(seg_bytes[s]) * channel_cycles_per_byte_;
-          if (!deferred_) {
-            const double start =
-                std::max(channel_[p], static_cast<double>(sm.cycle));
-            // Same queued test the deferred merge applies against the
-            // identical chan_floor (pre-port clock), so the attributed
-            // reason is thread-count invariant.
-            if (classify_ && start > static_cast<double>(sm.cycle)) {
-              queued = true;
-            }
-            channel_[p] = start + service;
-            if (sink_ != nullptr) {
-              emit(sm_id, issue_start,
-                   TimelineSink::DramSpan{static_cast<std::uint32_t>(p),
-                                          seg_bytes[s], start,
-                                          start + service});
-            }
-            completion = std::max(
-                completion, static_cast<std::uint64_t>(start + service) + 1);
-          } else {
-            std::size_t ev = kNoEvent;
-            if (sink_ != nullptr) ev = reserve_event(sm_id, issue_start);
-            segs_[sm_id].push_back(DeferredSeg{static_cast<std::uint32_t>(p),
-                                               seg_bytes[s], service, ev});
-          }
+          segs_[sm_id].push_back(
+              DeferredSeg{static_cast<std::uint32_t>(p), seg_bytes[s], service,
+                          reserve_event(sm_id, issue_start)});
         }
       }
       // LSU occupancy per request, with the driver-generation dependent
@@ -1404,60 +1387,45 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       if (any_uncoalesced) port += t_.uncoalesced_port_cycles(opt_.driver);
       sm.cycle += port;
       ws.ready_cycle = sm.cycle;  // non-blocking: warp keeps going
-      if (!deferred_) {
+      const auto seg_count =
+          static_cast<std::uint32_t>(segs_[sm_id].size() - seg_begin);
+      std::uint64_t tail = t_.global_latency_cycles;
+      if (any_uncoalesced) tail += t_.uncoalesced_latency_cycles(opt_.driver);
+      if (seg_count == 0) {
+        // No active lane touched DRAM: the data-back time is exact.
         if (iv.is_load) {
-          std::uint64_t data_back =
-              std::max(completion, sm.cycle) + t_.global_latency_cycles;
-          if (any_uncoalesced) {
-            data_back += t_.uncoalesced_latency_cycles(opt_.driver);
-          }
+          const std::uint64_t data_back = sm.cycle + tail;
           set_slot_ready(rb, w, iv.dst_slot, iv.width_words, data_back,
-                         queued ? kRsnDramBusy : kRsnGlobal);
+                         kRsnGlobal);
           const std::size_t ring_base = static_cast<std::size_t>(w) * mshr_;
           rb.load_ring[ring_base + rb.load_ring_pos[w]] = data_back;
           rb.load_ring_pos[w] = (rb.load_ring_pos[w] + 1) % mshr_;
         }
-      } else {
-        const auto seg_count =
-            static_cast<std::uint32_t>(segs_[sm_id].size() - seg_begin);
-        std::uint64_t tail = t_.global_latency_cycles;
-        if (any_uncoalesced) tail += t_.uncoalesced_latency_cycles(opt_.driver);
-        if (seg_count == 0) {
-          // No active lane touched DRAM: the data-back time is exact.
-          if (iv.is_load) {
-            const std::uint64_t data_back = sm.cycle + tail;
-            set_slot_ready(rb, w, iv.dst_slot, iv.width_words, data_back,
-                           kRsnGlobal);
-            const std::size_t ring_base = static_cast<std::size_t>(w) * mshr_;
-            rb.load_ring[ring_base + rb.load_ring_pos[w]] = data_back;
-            rb.load_ring_pos[w] = (rb.load_ring_pos[w] + 1) % mshr_;
-          }
-        } else {
-          DeferredReq r;
-          r.order_cycle = issue_start;
-          r.chan_floor = static_cast<double>(issue_start);  // pre-port clock
-          r.comp_floor = sm.cycle;  // post-port; subsumes the pre-port floor
-          r.per_seg_extra = 1;
-          r.tail = tail;
-          r.seg_begin = static_cast<std::uint32_t>(seg_begin);
-          r.seg_count = seg_count;
-          r.rb_slot = static_cast<std::uint32_t>(slot);
-          r.generation = rb.generation;
-          r.warp = w;
-          if (iv.is_load) {
-            r.dst_slot = iv.dst_slot;
-            r.width_words = iv.width_words;
-            set_slot_ready(rb, w, iv.dst_slot, iv.width_words, kNever,
-                           kRsnGlobal);
-            const std::size_t ring_base = static_cast<std::size_t>(w) * mshr_;
-            r.ring_idx =
-                static_cast<std::uint32_t>(ring_base + rb.load_ring_pos[w]);
-            rb.load_ring[r.ring_idx] = kNever;
-            rb.load_ring_pos[w] = (rb.load_ring_pos[w] + 1) % mshr_;
-          }
-          reqs_[sm_id].push_back(r);
-        }
+        break;
       }
+      DeferredReq r;
+      r.key = issue_start;
+      r.chan_floor = static_cast<double>(issue_start);  // pre-port clock
+      r.comp_floor = sm.cycle;  // post-port; subsumes the pre-port floor
+      r.per_seg_extra = 1;
+      r.tail = tail;
+      r.seg_begin = static_cast<std::uint32_t>(seg_begin);
+      r.seg_count = seg_count;
+      r.rb_slot = static_cast<std::uint32_t>(slot);
+      r.generation = rb.generation;
+      r.warp = w;
+      if (iv.is_load) {
+        r.dst_slot = iv.dst_slot;
+        r.width_words = iv.width_words;
+        set_slot_ready(rb, w, iv.dst_slot, iv.width_words, kNever,
+                       kRsnGlobal);
+        const std::size_t ring_base = static_cast<std::size_t>(w) * mshr_;
+        r.ring_idx =
+            static_cast<std::uint32_t>(ring_base + rb.load_ring_pos[w]);
+        rb.load_ring[r.ring_idx] = kNever;
+        rb.load_ring_pos[w] = (rb.load_ring_pos[w] + 1) % mshr_;
+      }
+      reqs_[sm_id].push_back(r);
       break;
     }
     case StepResult::Kind::kLocal: {
@@ -1467,70 +1435,37 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       sm.cycle += t_.port_cycles(opt_.driver);
       ws.ready_cycle = sm.cycle;
       if (attr_) ctx.attr[pc].dram_bytes += 128;  // 2 x 64B fills
-      if (!deferred_) {
-        std::uint64_t completion = sm.cycle;
-        bool queued = false;
-        for (int half_idx = 0; half_idx < 2; ++half_idx) {
-          const std::size_t p =
-              (static_cast<std::size_t>(res.lane_addrs[0]) /
-                   t_.partition_stride_bytes +
-               static_cast<std::size_t>(half_idx)) %
-              channel_.size();
-          const double start =
-              std::max(channel_[p], static_cast<double>(sm.cycle));
-          if (classify_ && start > static_cast<double>(sm.cycle)) {
-            queued = true;
-          }
-          const double service = 64.0 * channel_cycles_per_byte_;
-          channel_[p] = start + service;
-          stats.global_bytes += 64;
-          if (sink_ != nullptr) {
-            emit(sm_id, issue_start,
-                 TimelineSink::DramSpan{static_cast<std::uint32_t>(p), 64,
-                                        start, start + service});
-          }
-          completion = std::max(
-              completion, static_cast<std::uint64_t>(start + service) + 1);
-        }
-        if (iv.is_load) {
-          set_slot_ready(rb, w, iv.dst_slot, 1,
-                         completion + t_.global_latency_cycles,
-                         queued ? kRsnDramBusy : kRsnLocal);
-        }
-      } else {
-        const std::size_t seg_begin = segs_[sm_id].size();
-        for (int half_idx = 0; half_idx < 2; ++half_idx) {
-          const std::size_t p =
-              (static_cast<std::size_t>(res.lane_addrs[0]) /
-                   t_.partition_stride_bytes +
-               static_cast<std::size_t>(half_idx)) %
-              channel_.size();
-          const double service = 64.0 * channel_cycles_per_byte_;
-          stats.global_bytes += 64;
-          std::size_t ev = kNoEvent;
-          if (sink_ != nullptr) ev = reserve_event(sm_id, issue_start);
-          segs_[sm_id].push_back(
-              DeferredSeg{static_cast<std::uint32_t>(p), 64, service, ev});
-        }
-        DeferredReq r;
-        r.order_cycle = issue_start;
-        r.chan_floor = static_cast<double>(sm.cycle);  // post-port clock
-        r.comp_floor = sm.cycle;
-        r.per_seg_extra = 1;
-        r.tail = t_.global_latency_cycles;
-        r.seg_begin = static_cast<std::uint32_t>(seg_begin);
-        r.seg_count = 2;
-        r.rb_slot = static_cast<std::uint32_t>(slot);
-        r.generation = rb.generation;
-        r.warp = w;
-        r.base_reason = kRsnLocal;
-        if (iv.is_load) {
-          r.dst_slot = iv.dst_slot;
-          r.width_words = 1;
-          set_slot_ready(rb, w, iv.dst_slot, 1, kNever, kRsnLocal);
-        }
-        reqs_[sm_id].push_back(r);
+      const std::size_t seg_begin = segs_[sm_id].size();
+      for (int half_idx = 0; half_idx < 2; ++half_idx) {
+        const std::size_t p =
+            (static_cast<std::size_t>(res.lane_addrs[0]) /
+                 t_.partition_stride_bytes +
+             static_cast<std::size_t>(half_idx)) %
+            channel_.size();
+        const double service = 64.0 * channel_cycles_per_byte_;
+        stats.global_bytes += 64;
+        segs_[sm_id].push_back(DeferredSeg{static_cast<std::uint32_t>(p), 64,
+                                           service,
+                                           reserve_event(sm_id, issue_start)});
       }
+      DeferredReq r;
+      r.key = issue_start;
+      r.chan_floor = static_cast<double>(sm.cycle);  // post-port clock
+      r.comp_floor = sm.cycle;
+      r.per_seg_extra = 1;
+      r.tail = t_.global_latency_cycles;
+      r.seg_begin = static_cast<std::uint32_t>(seg_begin);
+      r.seg_count = 2;
+      r.rb_slot = static_cast<std::uint32_t>(slot);
+      r.generation = rb.generation;
+      r.warp = w;
+      r.base_reason = kRsnLocal;
+      if (iv.is_load) {
+        r.dst_slot = iv.dst_slot;
+        r.width_words = 1;
+        set_slot_ready(rb, w, iv.dst_slot, 1, kNever, kRsnLocal);
+      }
+      reqs_[sm_id].push_back(r);
       break;
     }
     case StepResult::Kind::kConst: {
@@ -1564,10 +1499,9 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       ws.ready_cycle = sm.cycle;
       const std::uint32_t max_lines =
           std::max(1u, t_.tex_cache_bytes / t_.tex_line_bytes);
-      std::uint64_t completion = sm.cycle + t_.tex_hit_latency_cycles;
-      bool queued = false;
+      const std::uint64_t completion = sm.cycle + t_.tex_hit_latency_cycles;
       const std::uint32_t wbytes = width_bytes(res.width);
-      const std::size_t seg_begin = deferred_ ? segs_[sm_id].size() : 0;
+      const std::size_t seg_begin = segs_[sm_id].size();
       for (std::uint32_t l = 0; l < spec_.warp_size; ++l) {
         if (!(res.mem_mask & (1u << l))) continue;
         for (std::uint32_t b = res.lane_addrs[l] / t_.tex_line_bytes;
@@ -1589,55 +1523,35 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
               static_cast<double>(t_.tex_line_bytes) * channel_cycles_per_byte_;
           stats.global_bytes += t_.tex_line_bytes;
           if (attr_) ctx.attr[pc].dram_bytes += t_.tex_line_bytes;
-          if (!deferred_) {
-            const double start =
-                std::max(channel_[p], static_cast<double>(sm.cycle));
-            if (classify_ && start > static_cast<double>(sm.cycle)) {
-              queued = true;
-            }
-            channel_[p] = start + service;
-            if (sink_ != nullptr) {
-              emit(sm_id, issue_start,
-                   TimelineSink::DramSpan{static_cast<std::uint32_t>(p),
-                                          t_.tex_line_bytes, start,
-                                          start + service});
-            }
-            completion =
-                std::max(completion, static_cast<std::uint64_t>(start + service) +
-                                         t_.global_latency_cycles);
-          } else {
-            std::size_t ev = kNoEvent;
-            if (sink_ != nullptr) ev = reserve_event(sm_id, issue_start);
-            segs_[sm_id].push_back(DeferredSeg{static_cast<std::uint32_t>(p),
-                                               t_.tex_line_bytes, service, ev});
-          }
+          segs_[sm_id].push_back(
+              DeferredSeg{static_cast<std::uint32_t>(p), t_.tex_line_bytes,
+                          service, reserve_event(sm_id, issue_start)});
           sm.tex_lines.insert(sm.tex_lines.begin(), b);
           if (sm.tex_lines.size() > max_lines) sm.tex_lines.pop_back();
         }
       }
-      if (!deferred_ || segs_[sm_id].size() == seg_begin) {
-        // Single-threaded, or every line hit the cache: completion is exact.
+      if (segs_[sm_id].size() == seg_begin) {
+        // Every line hit the cache: completion is exact.
         set_slot_ready(rb, w, iv.dst_slot, iv.width_words, completion,
-                       queued ? kRsnDramBusy : kRsnTex);
-      } else {
-        DeferredReq r;
-        r.order_cycle = issue_start;
-        r.chan_floor = static_cast<double>(sm.cycle);  // post-issue clock
-        r.comp_floor = completion;  // the hit-latency floor
-        r.per_seg_extra = t_.global_latency_cycles;
-        r.tail = 0;
-        r.seg_begin = static_cast<std::uint32_t>(seg_begin);
-        r.seg_count =
-            static_cast<std::uint32_t>(segs_[sm_id].size() - seg_begin);
-        r.rb_slot = static_cast<std::uint32_t>(slot);
-        r.generation = rb.generation;
-        r.warp = w;
-        r.base_reason = kRsnTex;
-        r.dst_slot = iv.dst_slot;
-        r.width_words = iv.width_words;
-        set_slot_ready(rb, w, iv.dst_slot, iv.width_words, kNever, kRsnTex);
-        reqs_[sm_id].push_back(r);
+                       kRsnTex);
+        break;
       }
+      DeferredReq r;
+      r.key = issue_start;
+      r.chan_floor = static_cast<double>(sm.cycle);  // post-issue clock
+      r.comp_floor = completion;  // the hit-latency floor
+      r.per_seg_extra = t_.global_latency_cycles;
+      r.tail = 0;
+      r.seg_begin = static_cast<std::uint32_t>(seg_begin);
+      r.seg_count = static_cast<std::uint32_t>(segs_[sm_id].size() - seg_begin);
+      r.rb_slot = static_cast<std::uint32_t>(slot);
+      r.generation = rb.generation;
+      r.warp = w;
+      r.base_reason = kRsnTex;
+      r.dst_slot = iv.dst_slot;
+      r.width_words = iv.width_words;
+      set_slot_ready(rb, w, iv.dst_slot, iv.width_words, kNever, kRsnTex);
+      reqs_[sm_id].push_back(r);
       break;
     }
     case StepResult::Kind::kBarrier:
@@ -1650,18 +1564,13 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       sm.cycle += t_.alu_issue_cycles;
       ws.ready_cycle = sm.cycle;
       if (exec.all_done()) {
-        if (!deferred_) {
-          do_dispatch(sm, slot, sm_id, sm.cycle, issue_start, kNoEvent);
-        } else {
-          // The grid block queue is shared state: park, and let the bucket
-          // driver hand out block ids in the serial (cycle, sm) order.
-          sm.park = Park::kDispatch;
-          sm.park_order = issue_start;
-          sm.park_slot = slot;
-          sm.park_when = sm.cycle;
-          sm.park_event =
-              sink_ != nullptr ? reserve_event(sm_id, issue_start) : kNoEvent;
-        }
+        // The grid block queue is shared state: park, and let the bucket
+        // driver hand out block ids in (pre-step cycle, SM id) order.
+        sm.park = Park::kDispatch;
+        sm.park_order = issue_start;
+        sm.park_slot = slot;
+        sm.park_when = sm.cycle;
+        sm.park_event = reserve_event(sm_id, issue_start);
       }
       break;
   }
@@ -1676,26 +1585,6 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
     emit(sm_id, issue_start,
          TimelineSink::IssueSpan{sm_id, static_cast<std::uint32_t>(slot), w,
                                  instr_class(res.op), issue_start, sm.cycle});
-  }
-}
-
-// Main loop of the single-threaded path: always advance the SM with the
-// smallest local clock so the shared DRAM channel timeline stays nearly
-// chronological.
-void TimedRun::run_serial() {
-  while (true) {
-    std::int64_t pick = -1;
-    std::uint64_t best = kNever;
-    for (std::uint32_t s = 0; s < n_sms_; ++s) {
-      if (!sms_[s].any_work) continue;
-      if (sms_[s].cycle < best) {
-        best = sms_[s].cycle;
-        pick = s;
-      }
-    }
-    if (pick < 0) break;
-    sm_step(sms_[static_cast<std::size_t>(pick)],
-            static_cast<std::uint32_t>(pick), workers_[0], kNever);
   }
 }
 
@@ -1715,9 +1604,9 @@ void TimedRun::worker_phase(std::uint32_t w) {
   }
 }
 
-// Resolves blocks retired during the bucket, strictly in the serial grid
-// order: repeatedly the globally smallest (pre-exit cycle, sm id) parked
-// dispatch gets the next block id and its SM resumes to the bucket end.
+// Resolves blocks retired during the bucket in (pre-step cycle of the
+// exit, SM id) order: repeatedly the smallest parked dispatch gets the next
+// block id and its SM resumes to the bucket end.
 // This is safe to run after the parallel phase because an SM's in-bucket
 // step sequence never reads another SM's state, so resuming one SM at a
 // time cannot change what any other SM already did.
@@ -1735,61 +1624,34 @@ void TimedRun::dispatch_waves() {
     Sm& sm = sms_[static_cast<std::size_t>(pick)];
     const auto sm_id = static_cast<std::uint32_t>(pick);
     sm.park = Park::kNone;
-    do_dispatch(sm, sm.park_slot, sm_id, sm.park_when, sm.park_order,
-                sm.park_event);
+    do_dispatch(sm, sm.park_slot, sm_id, sm.park_when, sm.park_event);
     sm.park_event = kNoEvent;
     run_sm(sm, sm_id, workers_[sm_id % nthreads_]);
   }
 }
 
 // Applies the bucket's deferred DRAM traffic to the partition busy-until
-// times in the serial order and writes the exact completion cycles into the
-// waiting scoreboard/MSHR entries. The merge key (pre-step cycle, sm id,
-// record index) replays the single-threaded order exactly: the serial loop
-// always steps the minimum-cycle SM with ties broken by lowest id, and
-// every step strictly advances its SM's clock, so per-SM keys are unique
-// and globally ordered. Identical operands combined in an identical order
-// make the floating-point busy-until timeline bit-identical.
+// times in (pre-step cycle, SM id, record index) order and writes the exact
+// completion cycles into the waiting scoreboard/MSHR entries. That order
+// does not depend on the thread count, and identical operands combined in
+// an identical order make the floating-point busy-until timeline
+// bit-identical.
 void TimedRun::merge_deferred() {
-  struct MergeRef {
-    std::uint64_t cycle;
-    std::uint32_t sm;
-    std::uint32_t idx;
-  };
-  std::vector<MergeRef> order;
-  std::size_t total = 0;
-  for (std::uint32_t s = 0; s < n_sms_; ++s) total += reqs_[s].size();
-  if (total == 0) return;
-  order.reserve(total);
-  for (std::uint32_t s = 0; s < n_sms_; ++s) {
-    for (std::size_t i = 0; i < reqs_[s].size(); ++i) {
-      order.push_back(
-          MergeRef{reqs_[s][i].order_cycle, s, static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const MergeRef& a, const MergeRef& b) {
-              if (a.cycle != b.cycle) return a.cycle < b.cycle;
-              if (a.sm != b.sm) return a.sm < b.sm;
-              return a.idx < b.idx;
-            });
-  for (const MergeRef& ref : order) {
+  for (const StepOrder& ref : step_order(reqs_)) {
     const DeferredReq& r = reqs_[ref.sm][ref.idx];
     std::uint64_t comp = r.comp_floor;
     bool queued = false;
     for (std::uint32_t k = 0; k < r.seg_count; ++k) {
       const DeferredSeg& g = segs_[ref.sm][r.seg_begin + k];
       const double start = std::max(channel_[g.partition], r.chan_floor);
-      // chan_floor is the same clock value the serial executor compares
-      // channel_[p] against, and the merge replays requests in the serial
-      // chronological order, so this queued bit matches the serial one.
+      // chan_floor is the SM clock at which the request reached the
+      // channel, so this is the queued test made at issue time.
       if (classify_ && start > r.chan_floor) queued = true;
       const double end = start + g.service;
       channel_[g.partition] = end;
       if (g.event_idx != kNoEvent) {
-        events_[ref.sm][g.event_idx] = PendingEvent{
-            r.order_cycle,
-            TimelineSink::DramSpan{g.partition, g.bytes, start, end}};
+        events_[ref.sm][g.event_idx].span =
+            TimelineSink::DramSpan{g.partition, g.bytes, start, end};
       }
       comp = std::max(comp, static_cast<std::uint64_t>(end) + r.per_seg_extra);
     }
@@ -1810,9 +1672,8 @@ void TimedRun::merge_deferred() {
 }
 
 // Completes stalls parked in the previous bucket: with the merge done every
-// scoreboard entry is concrete, so re-running the warp pick yields the same
-// stall window - and the same single idle charge and event - the serial
-// executor would have produced in one step.
+// scoreboard entry is concrete, so re-running the warp pick yields the
+// exact stall window, charged and emitted once as one step.
 void TimedRun::finish_parked_stalls() {
   for (std::uint32_t s = 0; s < n_sms_; ++s) {
     Sm& sm = sms_[s];
@@ -1823,30 +1684,19 @@ void TimedRun::finish_parked_stalls() {
     const Pick pick = pick_warp(sm, ctx.stats);
     VGPU_EXPECTS_MSG(pick.chosen < 0 && !pick.pending,
                      "parked stall resolved to an issueable warp");
-    VGPU_EXPECTS_MSG(pick.next_event != kNever,
-                     "timing executor stalled (barrier deadlock?)");
-    const std::uint64_t idle = pick.next_event - sm.cycle;
-    ctx.stats.sm_idle_cycles += idle;
-    StallCause cause;
-    if (classify_) {
-      cause = classify_stall(sm, pick.next_event);
-      if (attr_) ctx.attr[cause.pc].stall_cycles[cause.reason] += idle;
-    }
-    if (sink_ != nullptr) {
-      emit(s, sm.cycle,
-           TimelineSink::StallSpan{s, sm.cycle, pick.next_event,
-                                   static_cast<StallReason>(cause.reason)});
-    }
-    sm.cycle = pick.next_event;
+    charge_stall(sm, s, ctx, pick.next_event);
   }
 }
 
-// Main loop of the multi-threaded path. The bucket width is the global
-// memory latency: any DRAM completion recorded at cycle >= base resolves at
-// or after base + latency = bucket end, so within a bucket "in flight" is
-// the exact answer and SMs only interact at the (serialized) bucket
-// boundaries - the merge, the parked stalls, and the dispatch waves.
-void TimedRun::run_parallel() {
+// Main loop. The bucket width is the global memory latency: any DRAM
+// completion recorded at cycle >= base resolves at or after base + latency
+// = bucket end, so within a bucket "in flight" is the exact answer and SMs
+// only interact at the bucket boundaries, on the calling thread - the
+// merge, the parked stalls, and the dispatch waves. A zero latency gives
+// one-cycle buckets: every step's port or issue time is at least a cycle,
+// so its completions still land at or after the bucket end. At one thread
+// the pool has no thread of its own and the caller steps every SM.
+void TimedRun::run_buckets() {
   const std::uint64_t window = std::max<std::uint64_t>(1, t_.global_latency_cycles);
   WorkerPool pool(nthreads_ - 1, [this](std::uint32_t w) { worker_phase(w); });
   while (true) {
@@ -1863,29 +1713,10 @@ void TimedRun::run_parallel() {
   }
 }
 
-// Replays the buffered sink events in the serial emission order.
+// Replays the buffered sink events in (pre-step cycle, SM id, buffer index)
+// order.
 void TimedRun::flush_events() {
-  struct Ref {
-    std::uint64_t key;
-    std::uint32_t sm;
-    std::uint32_t idx;
-  };
-  std::vector<Ref> order;
-  std::size_t total = 0;
-  for (const std::vector<PendingEvent>& v : events_) total += v.size();
-  order.reserve(total);
-  for (std::uint32_t s = 0; s < n_sms_; ++s) {
-    for (std::size_t i = 0; i < events_[s].size(); ++i) {
-      order.push_back(
-          Ref{events_[s][i].key, s, static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-    if (a.key != b.key) return a.key < b.key;
-    if (a.sm != b.sm) return a.sm < b.sm;
-    return a.idx < b.idx;
-  });
-  for (const Ref& ref : order) {
+  for (const StepOrder& ref : step_order(events_)) {
     std::visit([this](const auto& span) { forward(span); },
                events_[ref.sm][ref.idx].span);
   }
@@ -1927,12 +1758,7 @@ LaunchStats TimedRun::run() {
   mshr_ = std::max(1u, t_.max_outstanding_loads(opt_.driver));
   sink_ = opt_.sink;
 
-  const std::uint32_t want = opt_.threads == 0 ? 1u : opt_.threads;
-  nthreads_ = std::min(want, n_sms_);
-  // The conservative bucket width is the global-memory latency; a model
-  // without one has no deferral window, so it runs single-threaded.
-  deferred_ = nthreads_ > 1 && t_.global_latency_cycles > 0;
-  if (!deferred_) nthreads_ = 1;
+  nthreads_ = std::min(std::max(1u, opt_.threads), n_sms_);
 
   if (sink_ != nullptr) {
     TimelineSink::RunInfo info;
@@ -1968,10 +1794,6 @@ LaunchStats TimedRun::run() {
   if (opt_.attribution != nullptr) *opt_.attribution = {};
   attr_ = opt_.attribution != nullptr && fast_;
   classify_ = attr_ || sink_ != nullptr;
-  // Batched issue emits a run's events consecutively, while the serial
-  // per-instruction executor interleaves SMs - so a single-threaded batched
-  // run with a sink buffers too and restores the order in flush_events().
-  buffer_ = deferred_ || (sink_ != nullptr && batched_);
 
   workers_.resize(nthreads_);
   for (WorkerCtx& ctx : workers_) {
@@ -1983,11 +1805,9 @@ LaunchStats TimedRun::run() {
     if (attr_) ctx.attr.assign(decp_->instrs.size(), PcAttribution{});
     ctx.scratch.transactions.reserve(32);
   }
-  if (deferred_) {
-    reqs_.resize(n_sms_);
-    segs_.resize(n_sms_);
-  }
-  if (sink_ != nullptr && buffer_) events_.resize(n_sms_);
+  reqs_.resize(n_sms_);
+  segs_.resize(n_sms_);
+  if (sink_ != nullptr) events_.resize(n_sms_);
 
   for (std::uint32_t s = 0; s < n_sms_; ++s) {
     sms_[s].slots.resize(occ.blocks_per_sm);
@@ -2001,15 +1821,11 @@ LaunchStats TimedRun::run() {
   // breadth-first initial placement: block b goes to SM b % n_sms
   for (std::uint32_t k = 0; k < occ.blocks_per_sm; ++k) {
     for (std::uint32_t s = 0; s < n_sms_; ++s) {
-      do_dispatch(sms_[s], k, s, 0, 0, kNoEvent);
+      do_dispatch(sms_[s], k, s, 0, kNoEvent);
     }
   }
 
-  if (deferred_) {
-    run_parallel();
-  } else {
-    run_serial();
-  }
+  run_buckets();
 
   if (trace_enabled()) {
     std::string line = "[vgpu] channels busy-until:";
@@ -2067,7 +1883,7 @@ LaunchStats TimedRun::run() {
     out.collected = true;
   }
   if (sink_ != nullptr) {
-    if (buffer_) flush_events();
+    flush_events();
     sink_->on_end(end_cycle);
   }
   return stats_;

@@ -80,11 +80,12 @@ struct TimingOptions {
   /// SpecializedMatchesPlain differentials exercise this flag. Ignored on
   /// the reference path.
   bool specialized = true;
-  /// Host threads stepping SMs (0 or 1 = single-threaded). Multi-threaded
-  /// runs shard SMs across threads inside conservative cycle buckets and
-  /// merge DRAM-partition traffic deterministically, so LaunchStats::core()
-  /// - including cycles - and memory contents are bit-identical to a
-  /// single-threaded run (docs/performance.md, "Multi-threaded timing").
+  /// Host threads stepping SMs (0 counts as 1). Every run steps the SMs
+  /// through conservative cycle buckets and merges DRAM-partition traffic
+  /// deterministically between them; more threads shard each bucket's SMs
+  /// across workers. LaunchStats::core() - including cycles - memory
+  /// contents and the sink event stream are bit-identical at every thread
+  /// count (docs/performance.md, "Multi-threaded timing").
   std::uint32_t threads = 1;
 };
 

@@ -186,7 +186,6 @@ TraceProgram build_traces(const DecodedProgram& dec,
                    "threaded program does not match the decoded program");
   TraceProgram out;
   out.trace_at.assign(dec.instrs.size(), kNoTrace);
-  std::vector<std::uint32_t> rows;  // working-set scratch
 
   for (std::size_t b = 0; b < dec.block_start.size(); ++b) {
     const std::size_t begin = dec.block_start[b];
@@ -241,24 +240,6 @@ TraceProgram build_traces(const DecodedProgram& dec,
         ++j;
       }
       tr.seg_count = static_cast<std::uint32_t>(out.segs.size()) - tr.seg_begin;
-
-      // Register working set (the dense-frame remap analysis; execution
-      // addresses the original file - see the header comment).
-      rows.clear();
-      for (std::uint32_t o = 0; o < run.len; ++o) {
-        const DecodedInstr& d = dec.instrs[i + o];
-        const auto add = [&rows](std::uint32_t slot) {
-          if (slot == kNoSlot) return;
-          if (std::find(rows.begin(), rows.end(), slot) == rows.end()) {
-            rows.push_back(slot);
-          }
-        };
-        add(d.dst_slot);
-        add(d.src_slot[0]);
-        add(d.src_slot[1]);
-        if (d.op != Opcode::kSel) add(d.src_slot[2]);
-      }
-      tr.frame_slots = static_cast<std::uint32_t>(rows.size());
 
       tr.shape = tr.seg_count == 1 &&
                          out.segs[tr.seg_begin].h < kTHandlerCount

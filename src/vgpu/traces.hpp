@@ -20,14 +20,6 @@
 // exec_threaded, so trace dispatch is bit-identical by construction and the
 // differential suites (SpecializedMatchesPlain, trace tests) enforce it.
 //
-// On register remapping: build_traces computes each trace's register
-// working set (Trace::frame_slots) for the dense-frame remap the
-// specialization design calls for, but execution addresses the original
-// register file directly - copying a K-row working set in and out of a
-// dense frame costs 2*K*32 words per trace call, which measured above the
-// dispatch cycles it could save on every pinned kernel (the register file
-// of one warp already fits in L1). See docs/performance.md.
-//
 // Traces exist only at run *heads* (a suffix entered mid-run after a timing
 // preemption executes through the threaded loop), and only runs of length
 // >= 2 get one, mirroring the batching threshold.
@@ -71,10 +63,6 @@ struct Trace {
   std::uint32_t seg_count = 0;
   std::uint32_t len = 0;  ///< ops covered (== DecodedRun::len at the head)
   TraceShape shape = TraceShape::kGeneric;
-  /// Distinct register rows the trace touches - the dense-frame working set
-  /// the remap analysis computes (execution stays on the original file, see
-  /// the header comment).
-  std::uint32_t frame_slots = 0;
 };
 
 /// Compiled traces of a program. Immutable after build_traces and safe to

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "gravit/forces_cpu.hpp"
 #include "gravit/gpu_runner.hpp"
@@ -13,11 +15,21 @@
 namespace gravit {
 namespace {
 
+// CTest names each case after the raw bytes of its parameter, so Variant
+// must have no padding: padding bytes are indeterminate and would give the
+// cases different names from run to run. Hence every field is 32 bits wide.
 struct Variant {
-  layout::SchemeKind scheme;
+  std::uint32_t scheme;  // layout::SchemeKind
   std::uint32_t unroll;
-  bool icm;
+  std::uint32_t icm;     // 0 or 1
 };
+static_assert(std::has_unique_object_representations_v<Variant>,
+              "Variant must have no padding bytes");
+
+constexpr Variant variant(layout::SchemeKind scheme, std::uint32_t unroll,
+                          bool icm) {
+  return Variant{static_cast<std::uint32_t>(scheme), unroll, icm ? 1u : 0u};
+}
 
 class GpuVariant : public ::testing::TestWithParam<Variant> {};
 
@@ -25,9 +37,9 @@ TEST_P(GpuVariant, MatchesCpuReference) {
   const Variant v = GetParam();
   auto set = spawn_uniform_cube(300, 1.0f, 13);  // non tile-multiple
   FarfieldGpuOptions opt;
-  opt.kernel.scheme = v.scheme;
+  opt.kernel.scheme = static_cast<layout::SchemeKind>(v.scheme);
   opt.kernel.unroll = v.unroll;
-  opt.kernel.icm = v.icm;
+  opt.kernel.icm = v.icm != 0;
   FarfieldGpu gpu(opt);
   auto res = gpu.run_functional(set);
   auto cpu = farfield_direct(set);
@@ -41,15 +53,15 @@ TEST_P(GpuVariant, MatchesCpuReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, GpuVariant,
-    ::testing::Values(Variant{layout::SchemeKind::kAoS, 1, false},
-                      Variant{layout::SchemeKind::kSoA, 1, false},
-                      Variant{layout::SchemeKind::kAoaS, 1, false},
-                      Variant{layout::SchemeKind::kSoAoaS, 1, false},
-                      Variant{layout::SchemeKind::kSoAoaS, 4, false},
-                      Variant{layout::SchemeKind::kSoAoaS, 32, false},
-                      Variant{layout::SchemeKind::kSoAoaS, 128, false},
-                      Variant{layout::SchemeKind::kSoAoaS, 128, true},
-                      Variant{layout::SchemeKind::kAoS, 128, true}));
+    ::testing::Values(variant(layout::SchemeKind::kAoS, 1, false),
+                      variant(layout::SchemeKind::kSoA, 1, false),
+                      variant(layout::SchemeKind::kAoaS, 1, false),
+                      variant(layout::SchemeKind::kSoAoaS, 1, false),
+                      variant(layout::SchemeKind::kSoAoaS, 4, false),
+                      variant(layout::SchemeKind::kSoAoaS, 32, false),
+                      variant(layout::SchemeKind::kSoAoaS, 128, false),
+                      variant(layout::SchemeKind::kSoAoaS, 128, true),
+                      variant(layout::SchemeKind::kAoS, 128, true)));
 
 TEST(GpuFarfield, PaperRegisterCounts) {
   // Sec. IV-A: the Gravit kernel uses 18 registers; full unrolling frees

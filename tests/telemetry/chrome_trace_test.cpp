@@ -11,6 +11,7 @@
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/json.hpp"
 #include "timed_run.hpp"
+#include "../vgpu/serial_golden.hpp"
 #include "vgpu/stream.hpp"
 
 namespace telemetry {
@@ -69,19 +70,25 @@ class RecordingSink final : public vgpu::TimelineSink {
   }
 };
 
-// The multi-threaded executor buffers events and replays them at the end of
-// the run; the replayed stream must be the single-threaded stream exactly -
-// same events, same payloads, same order.
+// The timing executor buffers events per SM and replays them at the end of
+// the run; at every thread count the replayed stream must be the serial
+// driver's recorded stream (serial_golden.hpp) - same events, same
+// payloads, same order.
 TEST(ChromeTrace, ThreadedRunEmitsIdenticalEventStream) {
   RecordingSink solo;
   const vgpu::LaunchStats solo_stats = test::run_read_kernel(&solo);
-  RecordingSink par;
-  const vgpu::LaunchStats par_stats =
-      test::run_read_kernel(&par, 4096, 128, /*threads=*/4);
-  EXPECT_EQ(par_stats.cycles, solo_stats.cycles);
-  ASSERT_EQ(par.log.size(), solo.log.size());
-  for (std::size_t k = 0; k < solo.log.size(); ++k) {
-    ASSERT_EQ(par.log[k], solo.log[k]) << "event " << k << " diverged";
+  EXPECT_EQ(vgpu::golden::stream_digest(solo.log),
+            vgpu::golden::kReadKernelStream);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    RecordingSink par;
+    const vgpu::LaunchStats par_stats =
+        test::run_read_kernel(&par, 4096, 128, threads);
+    EXPECT_EQ(par_stats.cycles, solo_stats.cycles) << "threads=" << threads;
+    ASSERT_EQ(par.log.size(), solo.log.size()) << "threads=" << threads;
+    for (std::size_t k = 0; k < solo.log.size(); ++k) {
+      ASSERT_EQ(par.log[k], solo.log[k])
+          << "event " << k << " diverged, threads=" << threads;
+    }
   }
 }
 

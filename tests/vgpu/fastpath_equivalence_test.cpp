@@ -22,6 +22,7 @@
 #include "vgpu/device.hpp"
 #include "vgpu/opt.hpp"
 #include "vgpu/regalloc.hpp"
+#include "serial_golden.hpp"
 
 namespace vgpu {
 namespace {
@@ -226,33 +227,82 @@ TEST(FastPathEquivalence, FarfieldUntiled) {
   check_farfield(kopt);
 }
 
+/// The read kernel for `scheme`, with the shared deterministic records
+/// packed and uploaded to `dev` for an n-thread launch.
+struct ReadLaunch {
+  Program prog;
+  std::vector<std::uint32_t> params;
+  Buffer out;
+};
+
+ReadLaunch prepare_read_kernel(Device& dev, layout::SchemeKind scheme,
+                               std::uint32_t n) {
+  const layout::PhysicalLayout phys =
+      layout::plan_layout(layout::gravit_record(), scheme);
+  ReadLaunch r{layout::make_read_kernel(phys), {}, {}};
+  std::vector<float> data(static_cast<std::size_t>(n) * 7);
+  for (std::size_t k = 0; k < data.size(); ++k) {
+    data[k] = static_cast<float>(k % 101) * 0.01f;
+  }
+  const std::vector<std::byte> image = layout::pack(phys, data, n);
+  Buffer img = dev.malloc(image.size());
+  dev.memcpy_h2d(img, image);
+  r.out = dev.malloc(static_cast<std::size_t>(n) * 8);
+  for (const std::uint64_t base : phys.group_bases(n)) {
+    r.params.push_back(img.addr + static_cast<std::uint32_t>(base));
+  }
+  r.params.push_back(r.out.addr);
+  return r;
+}
+
 TEST(FastPathEquivalence, ReadKernelAllDrivers) {
   const std::uint32_t n = 1024;
   const std::uint32_t block = 128;
-  const layout::PhysicalLayout phys =
-      layout::plan_layout(layout::gravit_record(), layout::SchemeKind::kAoS);
-  const Program prog = layout::make_read_kernel(phys);
-
   for (const DriverModel driver :
        {DriverModel::kCuda10, DriverModel::kCuda11, DriverModel::kCuda22}) {
     Device dev(g80_spec(), 16u * 1024 * 1024);
-    std::vector<float> data(static_cast<std::size_t>(n) * 7);
-    for (std::size_t k = 0; k < data.size(); ++k) {
-      data[k] = static_cast<float>(k % 101) * 0.01f;
-    }
-    const std::vector<std::byte> image = layout::pack(phys, data, n);
-    Buffer img = dev.malloc(image.size());
-    dev.memcpy_h2d(img, image);
-    Buffer out = dev.malloc(static_cast<std::size_t>(n) * 8);
-    std::vector<std::uint32_t> params;
-    for (const std::uint64_t base : phys.group_bases(n)) {
-      params.push_back(img.addr + static_cast<std::uint32_t>(base));
-    }
-    params.push_back(out.addr);
-
-    expect_equivalent(dev, prog, LaunchConfig{n / block, block}, params, driver,
-                      out, static_cast<std::size_t>(n) * 2,
+    const ReadLaunch r = prepare_read_kernel(dev, layout::SchemeKind::kAoS, n);
+    expect_equivalent(dev, r.prog, LaunchConfig{n / block, block}, r.params,
+                      driver, r.out, static_cast<std::size_t>(n) * 2,
                       std::string("read kernel, driver ") + to_string(driver));
+  }
+}
+
+/// One timed launch of the read kernel for `scheme` on a spec whose global
+/// latency is zero, on a fresh device.
+golden::Digests run_zero_latency_read(layout::SchemeKind scheme,
+                                      bool reference, std::uint32_t threads) {
+  const std::uint32_t n = 2048;
+  const std::uint32_t block = 128;
+  DeviceSpec spec = g80_spec();
+  spec.timing.global_latency_cycles = 0;
+  Device dev(spec, 16u * 1024 * 1024);
+  const ReadLaunch r = prepare_read_kernel(dev, scheme, n);
+  TimingOptions topt;
+  topt.reference = reference;
+  topt.threads = threads;
+  const LaunchStats stats =
+      dev.launch_timed(r.prog, LaunchConfig{n / block, block}, r.params, topt);
+  return golden::digests(stats, dev.gmem());
+}
+
+// A zero global latency leaves the bucketed driver no deferral window, so
+// it runs buckets one cycle wide. Fast and reference runs at 1, 2 and 4
+// threads must still reproduce the serial driver's recorded runs.
+TEST(FastPathEquivalence, ZeroLatencyReadKernels) {
+  for (const layout::SchemeKind scheme :
+       {layout::SchemeKind::kSoAoaS, layout::SchemeKind::kAoS}) {
+    const std::string name =
+        std::string("zero-latency read ") + layout::to_string(scheme);
+    const golden::Digests* want = golden::launch_record(name);
+    ASSERT_NE(want, nullptr) << "no serial record for " << name;
+    for (const bool reference : {false, true}) {
+      for (const std::uint32_t threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(run_zero_latency_read(scheme, reference, threads), *want)
+            << name << (reference ? ", reference" : ", fast")
+            << ", threads=" << threads;
+      }
+    }
   }
 }
 

@@ -9,7 +9,9 @@
 // runs the pre-decoded fast path against the reference interpreter
 // (FunctionalOptions/TimingOptions `reference`) under all three driver
 // models, demanding bit-identical memory results and identical
-// LaunchStats::core() - cycles included in timing mode.
+// LaunchStats::core() - cycles included in timing mode. Timed runs are
+// also checked against the serial driver's recorded results
+// (serial_golden.hpp).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -20,6 +22,7 @@
 #include "vgpu/opt.hpp"
 #include "vgpu/regalloc.hpp"
 #include "vgpu/verify.hpp"
+#include "serial_golden.hpp"
 
 namespace vgpu {
 namespace {
@@ -158,6 +161,7 @@ std::vector<std::uint32_t> run_program(const Program& prog) {
 struct DiffRun {
   std::vector<std::uint32_t> out;
   LaunchStats stats;
+  golden::Digests digests;  ///< timed runs only
 };
 
 DiffRun run_diff(const Program& prog, DriverModel driver, bool timed,
@@ -186,6 +190,7 @@ DiffRun run_diff(const Program& prog, DriverModel driver, bool timed,
     topt.dispatch = dispatch;
     topt.specialized = specialized;
     r.stats = dev.launch_timed(prog, cfg, params, topt);
+    r.digests = golden::digests(r.stats, dev.gmem());
   } else {
     FunctionalOptions fopt;
     fopt.driver = driver;
@@ -337,10 +342,11 @@ TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
   }
 }
 
-// Third differential axis: the multi-threaded timing executor
-// (TimingOptions::threads) must be bit-identical to the single-threaded one
-// - memory contents and LaunchStats::core() including cycles - for every
-// seed and driver model, on both execution paths.
+// Third differential axis: the timing executor's thread count. At 1, 2
+// and 4 threads, the fast path (batched and single-step) and the reference
+// interpreter must each reproduce the serial driver's recorded run -
+// cycles, every LaunchStats::core() field and device memory - for every
+// seed and driver model.
 TEST_P(FuzzSeed, ThreadedTimingMatchesSingleThreaded) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -348,36 +354,26 @@ TEST_P(FuzzSeed, ThreadedTimingMatchesSingleThreaded) {
   allocate_registers(p);
   verify(p);
 
+  struct Mode {
+    const char* name;
+    bool reference;
+    bool batched;
+  };
   for (const DriverModel driver :
        {DriverModel::kCuda10, DriverModel::kCuda11, DriverModel::kCuda22}) {
-    const DiffRun solo = run_diff(p, driver, /*timed=*/true, false);
-    for (const std::uint32_t threads : {2u, 4u}) {
-      const DiffRun par = run_diff(p, driver, /*timed=*/true, false, threads);
-      EXPECT_EQ(par.out, solo.out)
-          << "threaded outputs diverged, driver " << to_string(driver)
-          << ", threads " << threads;
-      EXPECT_EQ(par.stats.cycles, solo.stats.cycles)
-          << "cycle count diverged, driver " << to_string(driver)
-          << ", threads " << threads;
-      EXPECT_TRUE(par.stats.core() == solo.stats.core())
-          << "timed stats diverged, driver " << to_string(driver)
-          << ", threads " << threads;
-      // threading composes with per-instruction issue as well: batched off
-      // at every thread count still reproduces the solo (batched) run
-      const DiffRun par_off = run_diff(p, driver, /*timed=*/true, false,
-                                       threads, /*batched=*/false);
-      EXPECT_EQ(par_off.out, solo.out)
-          << "threaded single-step outputs diverged, driver "
-          << to_string(driver) << ", threads " << threads;
-      EXPECT_TRUE(par_off.stats.core() == solo.stats.core())
-          << "threaded single-step stats diverged, driver "
-          << to_string(driver) << ", threads " << threads;
+    const golden::Digests* want = golden::fuzz_record(GetParam(), driver);
+    ASSERT_NE(want, nullptr) << "no serial record, driver " << to_string(driver);
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      for (const Mode m : {Mode{"fast", false, true},
+                           Mode{"fast single-step", false, false},
+                           Mode{"reference", true, true}}) {
+        const DiffRun r = run_diff(p, driver, /*timed=*/true, m.reference,
+                                   threads, m.batched);
+        EXPECT_EQ(r.digests, *want)
+            << m.name << " run left the serial record, driver "
+            << to_string(driver) << ", threads " << threads;
+      }
     }
-    // threading composes with the reference interpreter too
-    const DiffRun ref = run_diff(p, driver, /*timed=*/true, true);
-    const DiffRun refpar = run_diff(p, driver, /*timed=*/true, true, 2);
-    EXPECT_TRUE(refpar.stats.core() == ref.stats.core())
-        << "threaded reference stats diverged, driver " << to_string(driver);
   }
 }
 

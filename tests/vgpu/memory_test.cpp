@@ -39,6 +39,32 @@ TEST(GlobalMemory, OutOfBoundsThrows) {
   EXPECT_THROW((void)g.alloc(512), ContractViolation);
 }
 
+// A G80-sized device is demand-zero: it reads zero before any write,
+// anywhere in its range, and keeps every bounds check.
+TEST(GlobalMemory, DemandZeroLargeDevice) {
+  constexpr std::size_t kBytes = 512u * 1024 * 1024;
+  GlobalMemory g(kBytes);
+  EXPECT_EQ(g.capacity(), kBytes);
+  EXPECT_EQ(g.load_u32(0), 0u);
+  EXPECT_EQ(g.load_u32(kBytes - 4), 0u);
+
+  const GAddr high = 300u * 1024 * 1024;  // above 256 MiB
+  g.store_u32(high, 0xdeadbeefu);
+  EXPECT_EQ(g.load_u32(high), 0xdeadbeefu);
+  std::vector<std::byte> src(64);
+  for (std::size_t k = 0; k < src.size(); ++k) src[k] = static_cast<std::byte>(k + 1);
+  g.write(high + 4096, src);
+  std::vector<std::byte> dst(64);
+  g.read(high + 4096, dst);
+  EXPECT_EQ(src, dst);
+
+  const auto end = static_cast<GAddr>(kBytes);
+  EXPECT_THROW((void)g.load_u32(end - 3), ContractViolation);
+  EXPECT_THROW(g.store_u32(end, 1), ContractViolation);
+  EXPECT_THROW(g.write(end - 63, src), ContractViolation);
+  EXPECT_THROW(g.read(end - 63, dst), ContractViolation);
+}
+
 TEST(SharedMemory, WordAccessAndBanks) {
   SharedMemory s(1024, 16);
   s.store_u32(0, 11);

@@ -1,5 +1,5 @@
 // Specialized run execution: boundary-step fusion parity on the pinned
-// application kernels, a low-occupancy witness that the *timed* fusion
+// application kernels, low-occupancy witnesses that the *timed* fusion
 // fall-through actually fires, and the trace-cache keying/invalidation
 // contract.
 //
@@ -10,8 +10,8 @@
 // memory subsystem a run can terminate with. The application kernels keep
 // their SMs saturated (another warp is always ready at a run boundary), so
 // timed fusion never fires on them; the low-occupancy single-warp kernels
-// below prove both timed fusion gates - the deferred any-kind path and the
-// serial SM-local (shared) path - execute and stay exact.
+// below prove that it fires on a shared-store and on a global-store
+// boundary, at every thread count, and stays exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -169,9 +169,8 @@ TEST(BoundaryFusion, ApplicationKernelParity) {
 /// at a memory op whose operands were ready early: by the time the run's
 /// last in-run instruction issues, the boundary's dependences have long
 /// retired, no other warp exists to preempt, and the fusion fall-through
-/// must take it. `shared_boundary` routes the store through shared memory
-/// (the SM-local kind the serial executor may fuse); otherwise it is a
-/// plain global store (deferred-mode fusion only).
+/// must take it. `shared_boundary` routes the store through shared memory;
+/// otherwise it is a plain global store.
 Program make_low_occupancy_kernel(bool shared_boundary) {
   KernelBuilder kb(shared_boundary ? "lowocc_shared" : "lowocc_global", 2);
   Val i = kb.iadd(kb.imul(kb.ctaid(), kb.ntid()), kb.tid());
@@ -225,40 +224,36 @@ KernelRun run_low_occupancy(const Program& prog, bool specialized,
   return r;
 }
 
-// Deferred mode (threads > 1) fuses boundary ops of any kind: on the
-// single-warp kernel the global-store boundary must fuse, and the fused run
-// must stay bit-identical to the plain per-instruction issue.
-TEST(BoundaryFusion, TimedFusionFiresDeferred) {
-  const Program prog = make_low_occupancy_kernel(/*shared_boundary=*/false);
-  const KernelRun on = run_low_occupancy(prog, true, 2);
-  EXPECT_GT(on.stats.fused_boundary_ops, 0u)
-      << "deferred timed fusion never fired on the single-warp kernel";
+// Timed fusion fires on the single-warp kernel: the boundary must fuse at
+// 1, 2 and 4 threads, and the fused run must stay bit-identical to the plain
+// per-instruction issue.
+void expect_timed_fusion_fires(bool shared_boundary) {
+  const Program prog = make_low_occupancy_kernel(shared_boundary);
+  const KernelRun off = run_low_occupancy(prog, false, 1);
   for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    const KernelRun off = run_low_occupancy(prog, false, threads);
-    EXPECT_EQ(off.stats.fused_boundary_ops, 0u);
-    EXPECT_EQ(off.out, on.out) << "threads=" << threads;
-    EXPECT_EQ(off.stats.cycles, on.stats.cycles) << "threads=" << threads;
-    EXPECT_TRUE(off.stats.core() == on.stats.core()) << "threads=" << threads;
-    const KernelRun on2 = run_low_occupancy(prog, true, threads);
-    EXPECT_EQ(on2.out, on.out) << "threads=" << threads;
-    EXPECT_TRUE(on2.stats.core() == on.stats.core()) << "threads=" << threads;
+    const KernelRun on = run_low_occupancy(prog, true, threads);
+    EXPECT_GT(on.stats.fused_boundary_ops, 0u)
+        << "timed fusion never fired, threads=" << threads;
+    EXPECT_EQ(on.out, off.out) << "threads=" << threads;
+    EXPECT_EQ(on.stats.cycles, off.stats.cycles) << "threads=" << threads;
+    EXPECT_TRUE(on.stats.core() == off.stats.core()) << "threads=" << threads;
+    const KernelRun off2 = run_low_occupancy(prog, false, threads);
+    EXPECT_EQ(off2.stats.fused_boundary_ops, 0u) << "threads=" << threads;
+    EXPECT_EQ(off2.out, off.out) << "threads=" << threads;
+    EXPECT_TRUE(off2.stats.core() == off.stats.core())
+        << "threads=" << threads;
   }
 }
 
-// The serial executor (threads == 1) interleaves SMs on the shared DRAM
-// timeline, so it only fuses SM-local boundary kinds: the shared-store
-// boundary must fuse at one thread, and every thread count must agree.
+// A global-store boundary fuses at every thread count.
+TEST(BoundaryFusion, TimedFusionFiresDeferred) {
+  expect_timed_fusion_fires(/*shared_boundary=*/false);
+}
+
+// A shared-store (SM-local) boundary fuses at every thread count, the
+// serial one-thread run included.
 TEST(BoundaryFusion, TimedFusionFiresSerialShared) {
-  const Program prog = make_low_occupancy_kernel(/*shared_boundary=*/true);
-  const KernelRun on = run_low_occupancy(prog, true, 1);
-  EXPECT_GT(on.stats.fused_boundary_ops, 0u)
-      << "serial timed fusion never fired on the shared-boundary kernel";
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    const KernelRun off = run_low_occupancy(prog, false, threads);
-    EXPECT_EQ(off.out, on.out) << "threads=" << threads;
-    EXPECT_EQ(off.stats.cycles, on.stats.cycles) << "threads=" << threads;
-    EXPECT_TRUE(off.stats.core() == on.stats.core()) << "threads=" << threads;
-  }
+  expect_timed_fusion_fires(/*shared_boundary=*/true);
 }
 
 // Trace-cache contract: traces are compiled once per distinct program,
