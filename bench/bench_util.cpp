@@ -122,6 +122,12 @@ int bench_main(int argc, char** argv, const BenchInfo& info) {
   }
   argc = out;
 
+  // Whatever the benchmark library does not recognise is a typo or a flag
+  // that no longer exists: refuse it before a record is written, so a
+  // stale command line cannot pass for a default-mode run.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+
   if (!json_path.empty()) {
     telemetry::JsonValue root = telemetry::JsonValue::object();
     root["schema"] = "vgpu-bench";
@@ -147,7 +153,6 @@ int bench_main(int argc, char** argv, const BenchInfo& info) {
     os << "\n";
   }
 
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -50,12 +50,14 @@ struct BenchInfo {
   std::string metric;  ///< the figure's metric, e.g. "avg cycles per 4B read"
 };
 
-/// Shared tail of every bench main(): strips `--json=<path>` from argv,
-/// writes the BENCH_<name> record of all tables printed so far to that
-/// path (if given), then hands the remaining flags to google-benchmark.
-/// The record carries `host_wall_ms`, the host wall-clock from process
-/// start to export, so regressions in simulator speed itself are visible
-/// in the machine-readable output. Returns the process exit code.
+/// Shared tail of every bench main(): strips `--json=<path>` from argv and
+/// hands the remaining flags to google-benchmark; any flag the library
+/// does not recognise is reported and the call returns 2 without writing a
+/// record. Otherwise it writes the BENCH_<name> record of all tables
+/// printed so far to that path (if given) and runs the registered
+/// benchmarks. The record carries `host_wall_ms`, the host wall-clock from
+/// process start to export, so regressions in simulator speed itself are
+/// visible in the machine-readable output. Returns the process exit code.
 int bench_main(int argc, char** argv, const BenchInfo& info);
 
 /// Registers one key of the record's top-level `summary` object (written

@@ -20,21 +20,7 @@
 // divergence makes the binary exit non-zero. Wall-time speedup is reported
 // (it depends on the host's core count; cycle results never do).
 //
-// A third axis is batched straight-line dispatch (FunctionalOptions::
-// batched): the batched-dispatch table runs every workload's functional
-// executor with batching off and on and demands bit-identical
-// LaunchStats::core() between the two (and the reference); any divergence
-// makes the binary exit non-zero. The ctest gate runs this binary twice,
-// --batched=on and --batched=off, so both dispatch modes stay exercised.
-//
-// A fourth axis is timed run batching (TimingOptions::batched): the
-// timed-dispatch table runs every workload's timing executor with the
-// closed-form run issue off and on and demands bit-identical
-// LaunchStats::core() - cycles included - between the two and the
-// reference; any divergence makes the binary exit non-zero. The ctest
-// gates run --timed-batched=on and --timed-batched=off.
-//
-// A fifth axis is stall attribution (TimingOptions::attribution): the
+// A third axis is stall attribution (TimingOptions::attribution): the
 // attribution table runs the far-field rolled-SoAoaS workload once plain
 // and once with the per-PC stall-attribution table enabled, and demands
 // (a) bit-identical LaunchStats::core() - cycles included - between the
@@ -42,27 +28,15 @@
 // attributed run's LaunchStats (every issue, stall cycle, request and
 // byte accounted). The stall-reason breakdown is printed and the headline
 // verdict (top stall reason, memory-bound fraction) is exported in the
-// record's `summary` object for the json_check ctest gate.
-//
-// A sixth axis is the run-dispatch backend (FunctionalOptions/
-// TimingOptions `dispatch`): issued runs execute either through the
-// compiled threaded-code loop (threaded.hpp, the default) or the legacy
-// per-instruction exec_alu switch. The threaded-dispatch table runs every
-// workload's functional executor under both backends and demands
-// bit-identical LaunchStats::core() between the two and the reference;
-// any divergence makes the binary exit non-zero. The ctest gates run
-// --dispatch=threaded and --dispatch=switch so both backends stay
-// exercised end to end.
+// record's `summary` object for the json_check ctest gate, together with
+// the trace entries and fused boundary ops of the functional fast path on
+// the far-field rolled-SoAoaS workload.
 //
 // Flags: --n=<particles> (default 4096, rounded up to a tile multiple)
 // scales the workload; --threads=<k> (default 4) is the maximum thread
-// count the scaling table sweeps to; --batched=on|off (default on) selects
-// the functional fast path's dispatch mode for the main tables;
-// --timed-batched=on|off (default on) does the same for the timing
-// executor (the dispatch differentials always run both modes);
-// --dispatch=threaded|switch (default threaded) selects the run-dispatch
-// backend for the main tables (the threaded differential always runs
-// both); --json=<path> exports the tables (bench_util).
+// count the scaling table sweeps to; --json=<path> exports the tables
+// (bench_util). Any other flag that is not the benchmark library's own is
+// rejected.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -154,68 +128,19 @@ struct RunResult {
   }
 };
 
-/// Dispatch mode for the functional fast path (--batched=on|off). The
-/// batched differential in run_all always runs both modes regardless.
-bool g_batched = true;
-/// Dispatch mode for the timing fast path (--timed-batched=on|off); the
-/// timed dispatch differential always runs both modes regardless.
-bool g_timed_batched = true;
-/// Run-dispatch backend for issued runs (--dispatch=threaded|switch); the
-/// threaded-dispatch differential always runs both backends regardless.
-vgpu::RunDispatch g_dispatch = vgpu::RunDispatch::kThreaded;
-/// Specialized run execution - trace-compiled superblocks, boundary-step
-/// fusion and the timing executor's ready-heap pick loop
-/// (--specialized=on|off). The specialization differential in run_all
-/// always runs both modes regardless.
-bool g_specialized = true;
-
-/// The run-dispatch tag for a fast-path table row ("-" on the reference
-/// interpreter, which has no decoded runs to dispatch).
-const char* backend_name(bool reference, int dispatch) {
-  if (reference) return "-";
-  const vgpu::RunDispatch d =
-      dispatch < 0 ? g_dispatch
-                   : (dispatch != 0 ? vgpu::RunDispatch::kThreaded
-                                    : vgpu::RunDispatch::kSwitch);
-  return d == vgpu::RunDispatch::kThreaded ? "threaded" : "switch";
-}
-
-/// The dispatch-mode tag exported with a run's table rows, so records stay
-/// attributable across PRs when defaults change.
-const char* dispatch_name(bool timed, bool reference, int batched) {
-  if (reference) return "single-step";
-  const bool on = batched < 0 ? (timed ? g_timed_batched : g_batched)
-                              : batched != 0;
-  return on ? "batched" : "single-step";
-}
-
-/// `batched` selects the fast path's dispatch mode (functional or timed,
-/// whichever runs) and `dispatch` the run-dispatch backend: -1 = the mode
-/// the matching command-line flag picked.
 RunResult run_one(Workload& w, bool timed, bool reference,
-                  std::uint32_t threads = 1, int batched = -1,
-                  int dispatch = -1, int specialized = -1) {
-  const vgpu::RunDispatch backend =
-      dispatch < 0 ? g_dispatch
-                   : (dispatch != 0 ? vgpu::RunDispatch::kThreaded
-                                    : vgpu::RunDispatch::kSwitch);
+                  std::uint32_t threads = 1) {
   RunResult r;
   const Clock::time_point t0 = Clock::now();
   if (timed) {
     vgpu::TimingOptions topt;
     topt.reference = reference;
     topt.threads = threads;
-    topt.batched = batched < 0 ? g_timed_batched : batched != 0;
-    topt.dispatch = backend;
-    topt.specialized = specialized < 0 ? g_specialized : specialized != 0;
     r.stats = vgpu::run_timed(w.prog, w.dev->spec(), w.dev->gmem(), w.cfg,
                               w.params, topt);
   } else {
     vgpu::FunctionalOptions fopt;
     fopt.reference = reference;
-    fopt.batched = batched < 0 ? g_batched : batched != 0;
-    fopt.dispatch = backend;
-    fopt.specialized = specialized < 0 ? g_specialized : specialized != 0;
     r.stats = vgpu::run_functional(w.prog, w.dev->spec(), w.dev->gmem(), w.cfg,
                                    w.params, fopt);
   }
@@ -259,7 +184,7 @@ Summary g_summary;
 // and host-dependent.
 void run_thread_scaling(std::uint32_t n, std::uint32_t max_threads) {
   Workload w = make_farfield(gravit::KernelOptions{}, n);
-  bench::Table scaling({"threads", "dispatch", "wall ms", "Minstr/s", "cycles",
+  bench::Table scaling({"threads", "wall ms", "Minstr/s", "cycles",
                         "speedup vs 1", "stats identical"});
   RunResult base;
   for (std::uint32_t threads = 1; threads <= max_threads; threads *= 2) {
@@ -271,9 +196,8 @@ void run_thread_scaling(std::uint32_t n, std::uint32_t max_threads) {
     if (threads > 1) {
       g_summary.thread_speedup = std::max(g_summary.thread_speedup, speedup);
     }
-    scaling.add_row({std::to_string(threads),
-                     dispatch_name(/*timed=*/true, /*reference=*/false, -1),
-                     fmt(r.wall_ms, 1), fmt(r.minstr_per_s(), 2),
+    scaling.add_row({std::to_string(threads), fmt(r.wall_ms, 1),
+                     fmt(r.minstr_per_s(), 2),
                      std::to_string(r.stats.cycles), fmt(speedup, 2),
                      identical ? "yes" : "NO"});
   }
@@ -299,7 +223,6 @@ void run_attribution(std::uint32_t n) {
   {
     const Clock::time_point t0 = Clock::now();
     vgpu::TimingOptions topt;
-    topt.batched = g_timed_batched;
     topt.attribution = &attr;
     attributed.stats = vgpu::run_timed(w.prog, w.dev->spec(), w.dev->gmem(),
                                        w.cfg, w.params, topt);
@@ -376,36 +299,25 @@ void run_all(std::uint32_t n) {
     workloads.push_back(make_read(n));
   }
 
-  bench::Table runs({"run", "dispatch", "backend", "dcache", "warp instrs",
-                     "wall ms", "Minstr/s", "cycles", "memo hit %",
-                     "cmemo hit %"});
+  bench::Table runs({"run", "dcache", "warp instrs", "wall ms", "Minstr/s",
+                     "cycles", "memo hit %", "cmemo hit %"});
   bench::Table speed({"workload", "executor", "ref wall ms", "fast wall ms",
                       "speedup", "stats identical"});
-  bench::Table batch({"workload", "off wall ms", "on wall ms", "speedup",
-                      "stats identical"});
-  bench::Table tbatch({"workload", "off wall ms", "on wall ms", "speedup",
-                       "runs issued", "fallbacks", "stats identical"});
-  bench::Table tdispatch({"workload", "switch wall ms", "threaded wall ms",
-                          "speedup", "stats identical"});
-  bench::Table spec({"workload", "executor", "off wall ms", "on wall ms",
-                     "speedup", "traces", "fused ops", "heap pops",
-                     "stats identical"});
   for (Workload& w : workloads) {
     for (const bool timed : {false, true}) {
       const char* exec_name = timed ? "timing" : "functional";
       const RunResult ref = run_one(w, timed, /*reference=*/true);
       const RunResult fast = run_one(w, timed, /*reference=*/false);
-      auto add_run = [&](const char* path, bool reference, const RunResult& r) {
+      auto add_run = [&](const char* path, const RunResult& r) {
         runs.add_row({w.label + "/" + exec_name + "/" + path,
-                      dispatch_name(timed, reference, -1),
-                      backend_name(reference, -1), dcache_state(r.stats),
+                      dcache_state(r.stats),
                       std::to_string(r.stats.warp_instructions),
                       fmt(r.wall_ms, 1), fmt(r.minstr_per_s(), 2),
                       std::to_string(r.stats.cycles), memo_rate(r.stats),
                       cmemo_rate(r.stats)});
       };
-      add_run("reference", true, ref);
-      add_run("fast", false, fast);
+      add_run("reference", ref);
+      add_run("fast", fast);
 
       // The invariant the whole fast path is built around: identical
       // LaunchStats::core() - cycles included - from both paths.
@@ -416,117 +328,17 @@ void run_all(std::uint32_t n) {
                      fmt(fast.wall_ms > 0.0 ? ref.wall_ms / fast.wall_ms : 0.0,
                          2),
                      identical ? "yes" : "NO"});
-      if (timed && w.label == "farfield-SoAoaS") {
-        g_summary.fast_timing_minstr = fast.minstr_per_s();
-        g_summary.ref_timing_minstr = ref.minstr_per_s();
-      }
-
-      // Batched-dispatch differential: the functional executor with whole-run
-      // dispatch must be bit-identical on core() to single stepping and to
-      // the reference, independently of which mode --batched selected for
-      // the tables above.
-      if (!timed) {
-        const RunResult off =
-            run_one(w, /*timed=*/false, /*reference=*/false, 1,
-                    /*batched=*/0);
-        const RunResult on = run_one(w, /*timed=*/false, /*reference=*/false,
-                                     1, /*batched=*/1);
-        const bool b_ident = on.stats.core() == off.stats.core() &&
-                             on.stats.core() == ref.stats.core();
-        g_summary.all_identical = g_summary.all_identical && b_ident;
-        batch.add_row({w.label, fmt(off.wall_ms, 1), fmt(on.wall_ms, 1),
-                       fmt(on.wall_ms > 0.0 ? off.wall_ms / on.wall_ms : 0.0,
-                           2),
-                       b_ident ? "yes" : "NO"});
-
-        // Threaded-dispatch differential: the compiled threaded-code loop
-        // must be bit-identical on core() to the exec_alu switch and the
-        // reference, whatever backend --dispatch selected for the tables
-        // above. Walls are the min over two interleaved switch/threaded
-        // pairs: host noise only ever adds time, so the min is the stable
-        // estimator for the speedup column.
-        RunResult sw, th;
-        double sw_min = 0.0, th_min = 0.0;
-        for (int pair = 0; pair < 2; ++pair) {
-          sw = run_one(w, /*timed=*/false, /*reference=*/false, 1,
-                       /*batched=*/-1, /*dispatch=*/0);
-          th = run_one(w, /*timed=*/false, /*reference=*/false, 1,
-                       /*batched=*/-1, /*dispatch=*/1);
-          if (pair == 0 || sw.wall_ms < sw_min) sw_min = sw.wall_ms;
-          if (pair == 0 || th.wall_ms < th_min) th_min = th.wall_ms;
-        }
-        const bool d_ident = th.stats.core() == sw.stats.core() &&
-                             th.stats.core() == ref.stats.core();
-        g_summary.all_identical = g_summary.all_identical && d_ident;
-        tdispatch.add_row({w.label, fmt(sw_min, 1), fmt(th_min, 1),
-                           fmt(th_min > 0.0 ? sw_min / th_min : 0.0, 2),
-                           d_ident ? "yes" : "NO"});
-      } else {
-        // Timed-dispatch differential: the timing executor's closed-form
-        // run issue must be bit-identical on core() *including cycles* to
-        // per-instruction issue and to the reference, whatever mode
-        // --timed-batched selected for the tables above. Wall times are the
-        // min over two interleaved off/on pairs: host noise only ever adds
-        // time, so the min is the stable estimator for the speedup column.
-        RunResult off, on;
-        double off_min = 0.0, on_min = 0.0;
-        for (int pair = 0; pair < 2; ++pair) {
-          off = run_one(w, /*timed=*/true, /*reference=*/false, 1,
-                        /*batched=*/0);
-          on = run_one(w, /*timed=*/true, /*reference=*/false, 1,
-                       /*batched=*/1);
-          if (pair == 0 || off.wall_ms < off_min) off_min = off.wall_ms;
-          if (pair == 0 || on.wall_ms < on_min) on_min = on.wall_ms;
-        }
-        const bool b_ident = on.stats.core() == off.stats.core() &&
-                             on.stats.core() == ref.stats.core();
-        g_summary.all_identical = g_summary.all_identical && b_ident;
-        tbatch.add_row({w.label, fmt(off_min, 1), fmt(on_min, 1),
-                        fmt(on_min > 0.0 ? off_min / on_min : 0.0, 2),
-                        std::to_string(on.stats.timed_runs_issued),
-                        std::to_string(on.stats.timed_run_fallbacks),
-                        b_ident ? "yes" : "NO"});
-      }
-
-      // Specialization differential: trace-compiled superblocks,
-      // boundary-step fusion and (timing executor) the ready-heap pick loop
-      // must be bit-identical on core() - cycles included - to the plain
-      // batched fast path and to the reference. Walls are the min over two
-      // interleaved off/on pairs: host noise only ever adds time, so the
-      // min is the stable estimator for the speedup column.
-      RunResult soff, son;
-      double soff_min = 0.0, son_min = 0.0;
-      for (int pair = 0; pair < 2; ++pair) {
-        soff = run_one(w, timed, /*reference=*/false, 1, /*batched=*/1,
-                       /*dispatch=*/-1, /*specialized=*/0);
-        son = run_one(w, timed, /*reference=*/false, 1, /*batched=*/1,
-                      /*dispatch=*/-1, /*specialized=*/1);
-        if (pair == 0 || soff.wall_ms < soff_min) soff_min = soff.wall_ms;
-        if (pair == 0 || son.wall_ms < son_min) son_min = son.wall_ms;
-      }
-      const bool s_ident = son.stats.core() == soff.stats.core() &&
-                           son.stats.core() == ref.stats.core();
-      g_summary.all_identical = g_summary.all_identical && s_ident;
-      spec.add_row({w.label, exec_name, fmt(soff_min, 1), fmt(son_min, 1),
-                    fmt(son_min > 0.0 ? soff_min / son_min : 0.0, 2),
-                    std::to_string(son.stats.traces_entered),
-                    std::to_string(son.stats.fused_boundary_ops),
-                    std::to_string(son.stats.pick_heap_pops),
-                    s_ident ? "yes" : "NO"});
       if (w.label == "farfield-SoAoaS") {
         if (timed) {
-          bench::add_summary("pick_heap_pops", son.stats.pick_heap_pops);
-          bench::add_summary("timed_run_fallbacks",
-                             son.stats.timed_run_fallbacks);
-          bench::add_summary("timed_run_fallbacks_plain",
-                             soff.stats.timed_run_fallbacks);
-          bench::add_summary(
-              "timed_run_fallbacks_decreased",
-              son.stats.timed_run_fallbacks < soff.stats.timed_run_fallbacks);
+          g_summary.fast_timing_minstr = fast.minstr_per_s();
+          g_summary.ref_timing_minstr = ref.minstr_per_s();
         } else {
-          bench::add_summary("traces_entered", son.stats.traces_entered);
+          // The functional fast path dispatches runs through superblock
+          // traces and fuses their memory terminators; the ctest gate
+          // checks both actually happen on the reference workload.
+          bench::add_summary("traces_entered", fast.stats.traces_entered);
           bench::add_summary("fused_boundary_ops",
-                             son.stats.fused_boundary_ops);
+                             fast.stats.fused_boundary_ops);
         }
       }
     }
@@ -534,32 +346,10 @@ void run_all(std::uint32_t n) {
   runs.print("sim_throughput - host-side simulator throughput",
              "n=" + std::to_string(n) +
                  " particles; Minstr/s = simulated warp instructions per "
-                 "second of host wall time; functional batched dispatch " +
-                 (g_batched ? "on" : "off") + ", timed run batching " +
-                 (g_timed_batched ? "on" : "off") + ", run dispatch " +
-                 (g_dispatch == vgpu::RunDispatch::kThreaded ? "threaded"
-                                                             : "switch") +
-                 ", specialized " + (g_specialized ? "on" : "off"));
+                 "second of host wall time");
   speed.print("fast path vs reference",
               "speedup = reference wall / fast wall; 'stats identical' "
               "compares LaunchStats::core() incl. cycles");
-  batch.print("batched straight-line dispatch (functional executor)",
-              "whole converged runs per dispatch vs single stepping; both "
-              "must report identical LaunchStats::core()");
-  tbatch.print("timed run batching (timing executor)",
-               "closed-form run issue vs per-instruction issue; both must "
-               "report identical LaunchStats::core() incl. cycles; walls "
-               "are min over two interleaved off/on pairs");
-  tdispatch.print("threaded dispatch (functional executor)",
-                  "compiled threaded-code run loop vs the per-instruction "
-                  "exec_alu switch; both must report identical "
-                  "LaunchStats::core(); walls are min over two interleaved "
-                  "switch/threaded pairs");
-  spec.print("specialized run execution (traces + boundary fusion + "
-             "ready-heap pick)",
-             "specialization off vs on over the batched fast path; both "
-             "must report identical LaunchStats::core() incl. cycles; walls "
-             "are min over two interleaved off/on pairs");
 }
 
 void bm_sim_throughput(benchmark::State& state) {
@@ -589,22 +379,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       max_threads =
           bench::parse_u32("sim_throughput", "--threads", argv[a] + 10, 1, 64);
-    } else if (std::strcmp(argv[a], "--batched=off") == 0) {
-      g_batched = false;
-    } else if (std::strcmp(argv[a], "--batched=on") == 0) {
-      g_batched = true;
-    } else if (std::strcmp(argv[a], "--timed-batched=off") == 0) {
-      g_timed_batched = false;
-    } else if (std::strcmp(argv[a], "--timed-batched=on") == 0) {
-      g_timed_batched = true;
-    } else if (std::strcmp(argv[a], "--dispatch=switch") == 0) {
-      g_dispatch = vgpu::RunDispatch::kSwitch;
-    } else if (std::strcmp(argv[a], "--dispatch=threaded") == 0) {
-      g_dispatch = vgpu::RunDispatch::kThreaded;
-    } else if (std::strcmp(argv[a], "--specialized=off") == 0) {
-      g_specialized = false;
-    } else if (std::strcmp(argv[a], "--specialized=on") == 0) {
-      g_specialized = true;
     } else {
       argv[out++] = argv[a];
     }

@@ -32,13 +32,10 @@ JsonValue to_json(const vgpu::LaunchStats& s) {
   v["shared_conflict_extra"] = s.shared_conflict_extra;
   v["conflict_memo_hits"] = s.conflict_memo_hits;
   v["conflict_memo_misses"] = s.conflict_memo_misses;
-  v["timed_runs_issued"] = s.timed_runs_issued;
-  v["timed_run_fallbacks"] = s.timed_run_fallbacks;
   v["decode_cache_hits"] = s.decode_cache_hits;
   v["decode_cache_misses"] = s.decode_cache_misses;
   v["traces_entered"] = s.traces_entered;
   v["fused_boundary_ops"] = s.fused_boundary_ops;
-  v["pick_heap_pops"] = s.pick_heap_pops;
   v["local_requests"] = s.local_requests;
   v["const_requests"] = s.const_requests;
   v["tex_requests"] = s.tex_requests;

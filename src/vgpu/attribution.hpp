@@ -13,8 +13,7 @@
 //   * cycle-identical when on - attribution observes, never perturbs;
 //   * exact reconciliation - the per-PC sums equal the end-of-run
 //     LaunchStats aggregates (sm_issue_cycles, sm_idle_cycles,
-//     global_transactions, ...), bit-identical at any thread count and
-//     with timed-run batching on or off.
+//     global_transactions, ...), bit-identical at any thread count.
 #pragma once
 
 #include <array>
@@ -35,11 +34,8 @@ namespace vgpu {
 ///
 /// The enum order is a tie-break priority: when several contributors of a
 /// stalled instruction become ready on the same cycle, the smallest value
-/// wins. kPipeline must stay first - the batched dispatch path attributes
-/// intra-run gaps arithmetically as pipeline latency, which matches the
-/// per-instruction dependency walk exactly *because* an in-run ALU
-/// producer always attains the dependency maximum and pipeline wins any
-/// tie with a surviving external dependency.
+/// wins. The recorded tables and event streams depend on this order, so
+/// it must not change.
 enum class StallReason : std::uint8_t {
   kPipeline = 0,  ///< ALU/const result latency
   kIssuePort,     ///< SM front end busy (warp's own issue slot or

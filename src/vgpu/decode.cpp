@@ -141,119 +141,4 @@ DecodedProgram decode(const Program& prog) {
   return dec;
 }
 
-RunScheduleTable schedule_runs(const DecodedProgram& dec,
-                               const TimingParams& t) {
-  RunScheduleTable tab;
-  tab.runs.assign(dec.instrs.size(), RunSchedule{});
-  const std::uint32_t issue = t.alu_issue_cycles;
-  const std::uint32_t latency = t.alu_result_latency_cycles;
-
-  // In-run producer tracking: last writer index per register slot, rebuilt
-  // per run (runs are short, linear scans beat a per-program array reset).
-  struct Writer {
-    std::uint32_t slot;
-    std::uint32_t idx;
-  };
-  std::vector<Writer> writers;
-  std::vector<std::uint32_t> offs;
-
-  // Every suffix of a maximal run is itself a run (mid-run re-entry after a
-  // prefix batch or a preemption lands on a suffix), so each position with
-  // len >= 2 gets an independent schedule; total work is O(sum of run
-  // lengths squared) over static instructions, paid once per launch.
-  for (std::size_t i = 0; i < dec.instrs.size(); ++i) {
-    const DecodedRun& run = dec.runs[i];
-    if (run.len < 2) continue;
-    RunSchedule& rs = tab.runs[i];
-    rs.off_begin = static_cast<std::uint32_t>(tab.offs.size());
-    rs.ext_begin = static_cast<std::uint32_t>(tab.ext.size());
-    rs.pext_begin = static_cast<std::uint32_t>(tab.pext.size());
-    rs.wb_begin = static_cast<std::uint32_t>(tab.wb.size());
-    writers.clear();
-    offs.assign(run.len, 0);
-
-    for (std::uint32_t j = 0; j < run.len; ++j) {
-      const DecodedInstr& d = dec.instrs[i + j];
-      // Issue pipeline: one issue per alu_issue_cycles; in-run producers
-      // add their fixed result latency. External reads never move the
-      // offset - they are validated against the live scoreboard at issue
-      // time instead.
-      std::uint64_t off = j == 0 ? 0 : offs[j - 1] + issue;
-      for (std::uint32_t k = 0; k < d.num_deps; ++k) {
-        const DecodedInstr::RegDep& dep = d.deps[k];
-        VGPU_EXPECTS_MSG(dep.words == 1,
-                         "multi-word dependency inside a straight-line run");
-        for (const Writer& wr : writers) {
-          if (wr.slot == dep.slot) {
-            off = std::max(off,
-                           static_cast<std::uint64_t>(offs[wr.idx]) + issue +
-                               latency);
-            break;
-          }
-        }
-      }
-      offs[j] = static_cast<std::uint32_t>(off);
-      // External reads: slots with no in-run writer yet, deduplicated on
-      // the first reader (offsets are nondecreasing, so the first read is
-      // the binding check).
-      for (std::uint32_t k = 0; k < d.num_deps; ++k) {
-        const DecodedInstr::RegDep& dep = d.deps[k];
-        bool internal = false;
-        for (const Writer& wr : writers) {
-          if (wr.slot == dep.slot) {
-            internal = true;
-            break;
-          }
-        }
-        if (internal) continue;
-        bool seen = false;
-        for (std::uint32_t e = rs.ext_begin; e < tab.ext.size(); ++e) {
-          if (tab.ext[e].slot == dep.slot) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) {
-          tab.ext.push_back(RunScheduleTable::ExtDep{dep.slot, offs[j], j});
-        }
-      }
-      for (std::uint32_t k = 0; k < d.num_pred_deps; ++k) {
-        const PredId p = d.pred_deps[k];
-        bool seen = false;
-        for (std::uint32_t e = rs.pext_begin; e < tab.pext.size(); ++e) {
-          if (tab.pext[e].pred == p) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) {
-          tab.pext.push_back(RunScheduleTable::ExtPred{p, offs[j], j});
-        }
-      }
-      if (d.dst_slot != kNoSlot) {
-        bool updated = false;
-        for (Writer& wr : writers) {
-          if (wr.slot == d.dst_slot) {
-            wr.idx = j;
-            updated = true;
-            break;
-          }
-        }
-        if (!updated) writers.push_back(Writer{d.dst_slot, j});
-      }
-    }
-
-    for (const Writer& wr : writers) {
-      tab.wb.push_back(RunScheduleTable::Writeback{
-          wr.slot, offs[wr.idx] + issue + latency});
-    }
-    rs.ext_count = static_cast<std::uint32_t>(tab.ext.size()) - rs.ext_begin;
-    rs.pext_count =
-        static_cast<std::uint32_t>(tab.pext.size()) - rs.pext_begin;
-    rs.wb_count = static_cast<std::uint32_t>(tab.wb.size()) - rs.wb_begin;
-    tab.offs.insert(tab.offs.end(), offs.begin(), offs.end());
-  }
-  return tab;
-}
-
 }  // namespace vgpu

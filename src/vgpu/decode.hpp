@@ -101,8 +101,8 @@ struct DecodedRun {
   std::array<std::uint32_t, 6> class_counts{};
   /// True when the instruction terminating this run (at `start + len`) is a
   /// guard-free memory op a converged warp may execute fused into the same
-  /// dispatch (boundary-step fusion). Executors gate on their `specialized`
-  /// option; fused execution is bit-identical to the separate step.
+  /// dispatch (boundary-step fusion, functional executor); fused execution
+  /// is bit-identical to the separate step.
   bool fuse_boundary = false;
 };
 
@@ -126,61 +126,5 @@ struct DecodedProgram {
 /// Pre-decode a finished program (register layout present). The result
 /// references nothing in `prog` and stays valid independently of it.
 [[nodiscard]] DecodedProgram decode(const Program& prog);
-
-/// Closed-form issue schedule of one straight-line run, all cycle values
-/// expressed as offsets from the cycle at which the run's first instruction
-/// issues. Because a run holds only guard-free register-ALU instructions,
-/// in-run dependencies resolve at fixed latencies and the whole per-
-/// instruction scoreboard walk collapses to: validate the *external*
-/// read-set once, then replay the precomputed offsets (timing.cpp's batched
-/// issue path). Entries exist for every position whose suffix run has
-/// len >= 2; shorter runs are not worth batching.
-struct RunSchedule {
-  std::uint32_t off_begin = 0;  ///< per-instruction issue offsets, `len` of them
-  std::uint32_t ext_begin = 0;  ///< external register reads
-  std::uint32_t ext_count = 0;
-  std::uint32_t pext_begin = 0;  ///< external predicate reads
-  std::uint32_t pext_count = 0;
-  std::uint32_t wb_begin = 0;  ///< final per-destination ready offsets
-  std::uint32_t wb_count = 0;
-};
-
-/// Flat arenas for every run schedule of a program (ranges indexed by
-/// RunSchedule). `runs` parallels DecodedProgram::instrs, like its `runs`.
-struct RunScheduleTable {
-  /// One register slot read before any in-run write. `off` is the issue
-  /// offset of the first in-run reader and `idx` its in-run index: if the
-  /// scoreboard says the slot is ready only after `start + off`, the batch
-  /// must stop before instruction `idx` (a prefix batch stays exact).
-  struct ExtDep {
-    std::uint32_t slot = 0;
-    std::uint32_t off = 0;
-    std::uint32_t idx = 0;
-  };
-  /// Same for predicate reads; runs never write predicates, so every
-  /// predicate dependency is external.
-  struct ExtPred {
-    PredId pred = kNoPred;
-    std::uint32_t off = 0;
-    std::uint32_t idx = 0;
-  };
-  /// Last write to a destination slot: ready at `start + ready_off`. One
-  /// entry per distinct slot (later writers win), valid for full-run issue.
-  struct Writeback {
-    std::uint32_t slot = 0;
-    std::uint32_t ready_off = 0;
-  };
-  std::vector<RunSchedule> runs;
-  std::vector<std::uint32_t> offs;
-  std::vector<ExtDep> ext;
-  std::vector<ExtPred> pext;
-  std::vector<Writeback> wb;
-};
-
-/// Precompute the issue schedules of every batching-eligible run in `dec`
-/// under the timing model `t`. Kept out of decode() because the functional
-/// executor has no TimingParams (and no use for offsets).
-[[nodiscard]] RunScheduleTable schedule_runs(const DecodedProgram& dec,
-                                             const TimingParams& t);
 
 }  // namespace vgpu

@@ -61,16 +61,12 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
   std::optional<ConflictMemo> cmemo;
   if (!opt.reference) {
     bool cache_hit = false;
-    ck = acquire_compiled(prog, opt.decode_cache, &cache_hit);
-    if (opt.decode_cache) {
-      ++(cache_hit ? stats.decode_cache_hits : stats.decode_cache_misses);
-    }
+    ck = acquire_compiled(prog, /*use_cache=*/true, &cache_hit);
+    ++(cache_hit ? stats.decode_cache_hits : stats.decode_cache_misses);
     memo.emplace(opt.driver);
     cmemo.emplace(spec.warp_size, spec.half_warp, spec.shared_mem_banks);
   }
   CoalesceMemo* const memop = memo ? &*memo : nullptr;
-  const bool batched = opt.batched && !opt.reference;
-  const bool specialized = batched && opt.specialized;
 
   // Per-step accounting, shared between the single-step dispatch and the
   // fused boundary step (both see the same StepResult the step would have
@@ -106,7 +102,6 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
   // Reused across fused boundary steps; exec_boundary rewrites every field
   // the accounting below reads.
   StepResult fres;
-  StepResult* const fusedp = specialized ? &fres : nullptr;
 
   // Fast path: one BlockExec reused across the grid (reset() per block);
   // reference path: a fresh BlockExec per block, as the original executor
@@ -116,12 +111,10 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
     BlockParams bp{b, cfg, params, 0, opt.cmem};
     if (!exec || opt.reference) {
       exec.emplace(prog, spec, gmem, bp, ck ? &ck->decoded() : nullptr);
-      if (cmemo) exec->set_conflict_memo(&*cmemo);
-      if (ck && opt.dispatch == RunDispatch::kThreaded) {
-        exec->set_threaded(&ck->threaded());
-        if (specialized) {
-          exec->set_traces(&ck->traces(), &stats.traces_entered);
-        }
+      if (ck) {
+        exec->set_conflict_memo(&*cmemo);
+        exec->set_run_programs(ck->threaded(), ck->traces(),
+                               &stats.traces_entered);
       }
     } else {
       exec->reset(bp);
@@ -131,27 +124,26 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
       for (std::uint32_t w = 0; w < exec->num_warps(); ++w) {
         WarpState& ws = exec->warp(w);
         while (!ws.done && !ws.at_barrier) {
-          if (batched) {
-            // Issue a whole converged straight-line run in one dispatch and
-            // fold in its pre-aggregated accounting. A maximal run is always
-            // followed by a non-batchable instruction: with specialization
-            // on, a fusable memory terminator executes inside the same
-            // dispatch (fused boundary step); otherwise fall through to the
-            // single-step dispatch for it directly.
-            bool fdone = false;
-            if (const DecodedRun* run = exec->step_run(w, 0, fusedp, &fdone)) {
-              progressed = true;
-              stats.warp_instructions += run->len;
-              stats.region_instructions[static_cast<std::size_t>(run->region)] +=
-                  run->len;
-              for (std::size_t c = 0; c < run->class_counts.size(); ++c) {
-                stats.instr_class_counts[c] += run->class_counts[c];
-              }
-              if (fdone) {
-                account_step(fres);
-                ++stats.fused_boundary_ops;
-                continue;
-              }
+          // Issue a whole converged straight-line run in one dispatch and
+          // fold in its pre-aggregated accounting. A maximal run is always
+          // followed by a non-batchable instruction: a fusable memory
+          // terminator executes inside the same dispatch (fused boundary
+          // step); otherwise fall through to the single-step dispatch for
+          // it directly. The reference path installs no run programs, so
+          // step_run declines and every instruction single-steps.
+          bool fdone = false;
+          if (const DecodedRun* run = exec->step_run(w, fres, fdone)) {
+            progressed = true;
+            stats.warp_instructions += run->len;
+            stats.region_instructions[static_cast<std::size_t>(run->region)] +=
+                run->len;
+            for (std::size_t c = 0; c < run->class_counts.size(); ++c) {
+              stats.instr_class_counts[c] += run->class_counts[c];
+            }
+            if (fdone) {
+              account_step(fres);
+              ++stats.fused_boundary_ops;
+              continue;
             }
           }
           const StepResult res = exec->step(w, ws.issued * 4);

@@ -13,7 +13,6 @@
 #include "vgpu/interp.hpp"
 #include "vgpu/launch.hpp"
 #include "vgpu/memory.hpp"
-#include "vgpu/threaded.hpp"
 
 namespace vgpu {
 
@@ -27,29 +26,12 @@ struct FunctionalOptions {
   /// Run the reference interpreter instead of the pre-decoded fast path.
   /// Both must agree bit for bit (numerics) and field for field
   /// (LaunchStats::core()); the differential tests exercise this flag.
+  /// The fast path serves its compiled kernel from the process-wide decode
+  /// cache (progcache.hpp) and issues each converged straight-line run in
+  /// one dispatch (BlockExec::step_run): through a superblock trace at run
+  /// heads (traces.hpp), else the threaded-code loop (threaded.hpp), with
+  /// a fusable run-terminating memory op executed in the same dispatch.
   bool reference = false;
-  /// Issue whole converged straight-line runs per dispatch (BlockExec::
-  /// step_run) instead of one decoded instruction. Ignored on the reference
-  /// path. Batched and single-step execution must agree bit for bit and on
-  /// LaunchStats::core(); `sim_throughput --batched=off` and the batched
-  /// equivalence tests exercise this flag.
-  bool batched = true;
-  /// How batched runs execute: the compiled threaded-code loop
-  /// (threaded.hpp, the default) or the legacy per-instruction exec_alu
-  /// switch. Bit-identical by construction; `sim_throughput
-  /// --dispatch=switch` and the threaded-dispatch tests exercise both.
-  RunDispatch dispatch = RunDispatch::kThreaded;
-  /// Serve decode + threaded compilation from the process-wide cache
-  /// (progcache.hpp) so repeat launches of the same program skip redecode.
-  /// Off: compile privately per launch. Ignored on the reference path.
-  bool decode_cache = true;
-  /// Specialized run execution: dispatch converged runs through compiled
-  /// superblock traces (traces.hpp) and fuse the run-terminating memory op
-  /// into the same dispatch. Ignored on the reference path and with
-  /// `batched` off. Bit-identical on/off; `sim_throughput
-  /// --specialized=off` and the SpecializedMatchesPlain differentials
-  /// exercise this flag.
-  bool specialized = true;
 };
 
 /// Execute the whole grid block-by-block. The program must be finished

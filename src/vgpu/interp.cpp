@@ -823,61 +823,50 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
 // instruction can read the clock, touch memory, branch, take a guard, or
 // write a predicate, so with a fully converged warp the per-step work of
 // step_fast (guard evaluation, convergence test, StepResult construction)
-// collapses to a tight loop over exec_alu. The warp's mask cannot change
-// within the run, so checking convergence once up front is exact.
-const DecodedRun* BlockExec::step_run(std::uint32_t w, std::uint32_t max_len,
-                                      StepResult* fused, bool* fused_done) {
-  if (dec_ == nullptr) return nullptr;
+// collapses to one call into the compiled run programs. The warp's mask
+// cannot change within the run, so checking convergence once up front is
+// exact.
+const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
+                                      bool& fused_done) {
+  if (threaded_ == nullptr) return nullptr;
   WarpState& ws = warps_[w];
   if (ws.done || ws.at_barrier) return nullptr;
   if ((ws.active & full_mask_) != full_mask_) return nullptr;
   const std::size_t first = dec_->block_start[ws.block] + ws.ip;
   const DecodedRun& run = dec_->runs[first];
   if (run.len == 0) return nullptr;
-  const std::uint32_t n =
-      max_len == 0 ? run.len : std::min(max_len, run.len);
-  const std::uint32_t base_thread = ws.index * spec_.warp_size;
-  if (threaded_ != nullptr) {
-    // Compiled dispatch: pre-resolved operand rows, dense handlers, one
-    // indirect jump per instruction (threaded.cpp) - or, for a full run
-    // starting at a compiled trace head, one jump per trace *segment*
-    // (traces.cpp). All dispatches are bit-identical to the exec_alu loop
-    // below.
-    ThreadedCtx ctx;
-    ctx.params = bp_.params.data();
-    ctx.block_id = bp_.block_id;
-    ctx.block_threads = bp_.cfg.block_threads;
-    ctx.grid_blocks = bp_.cfg.grid_blocks;
-    ctx.sm_id = bp_.sm_id;
-    ctx.warp_index = ws.index;
-    ctx.base_thread = base_thread;
-    ctx.warp_size = spec_.warp_size;
-    const std::uint32_t tr = traces_ != nullptr && n == run.len
-                                 ? traces_->trace_at[first]
-                                 : kNoTrace;
-    if (tr != kNoTrace) {
-      exec_trace(*traces_, tr, ws.regs, ws.preds, ctx);
-      ++*trace_hits_;
-    } else {
-      exec_threaded(threaded_->ops.data() + first, n, ws.regs, ws.preds, ctx);
-    }
+  // Compiled dispatch: pre-resolved operand rows, dense handlers, one
+  // indirect jump per instruction (threaded.cpp) - or, for a run starting
+  // at a compiled trace head, one jump per trace *segment* (traces.cpp).
+  // Both are bit-identical to stepping the run through exec_alu.
+  ThreadedCtx ctx;
+  ctx.params = bp_.params.data();
+  ctx.block_id = bp_.block_id;
+  ctx.block_threads = bp_.cfg.block_threads;
+  ctx.grid_blocks = bp_.cfg.grid_blocks;
+  ctx.sm_id = bp_.sm_id;
+  ctx.warp_index = ws.index;
+  ctx.base_thread = ws.index * spec_.warp_size;
+  ctx.warp_size = spec_.warp_size;
+  const std::uint32_t tr = traces_->trace_at[first];
+  if (tr != kNoTrace) {
+    exec_trace(*traces_, tr, ws.regs, ws.preds, ctx);
+    ++*trace_hits_;
   } else {
-    const DecodedInstr* const ds = dec_->instrs.data() + first;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      exec_alu(ds[i], ws, full_mask_, /*converged=*/true, base_thread, 0);
-    }
+    exec_threaded(threaded_->ops.data() + first, run.len, ws.regs, ws.preds,
+                  ctx);
   }
-  ws.ip += n;
-  ws.issued += n;
-  // Boundary-step fusion: the run's terminating memory op executes in the
-  // same dispatch when the caller asks for it and the whole run was taken.
-  // Ordering matches the separate step() call exactly: the terminator sees
-  // the run's register writes, `issued` counts it after the run.
-  if (fused != nullptr && n == run.len && run.fuse_boundary) {
+  ws.ip += run.len;
+  ws.issued += run.len;
+  // Boundary-step fusion: a fusable terminating memory op executes in the
+  // same dispatch. Ordering matches the separate step() call exactly: the
+  // terminator sees the run's register writes, `issued` counts it after
+  // the run.
+  if (run.fuse_boundary) {
     ++ws.issued;
-    exec_boundary(dec_->instrs[first + n], ws, *fused);
+    exec_boundary(dec_->instrs[first + run.len], ws, fused);
     ++ws.ip;
-    *fused_done = true;
+    fused_done = true;
   }
   return &run;
 }
@@ -1063,11 +1052,10 @@ void BlockExec::exec_boundary(const DecodedInstr& d, WarpState& ws,
   }
 }
 
-// The register-ALU subset of the fast path, shared between step_fast
-// (single-step dispatch, any mask) and step_run (batched dispatch of
-// converged straight-line runs). Architectural effects are exactly those of
-// the corresponding step_ref cases. `now` feeds only the clock reads, which
-// decode() never places inside a run.
+// The register-ALU subset of step_fast (single-step dispatch, any mask).
+// Architectural effects are exactly those of the corresponding step_ref
+// cases, and of the threaded handlers step_run dispatches converged runs
+// through. `now` feeds only the clock reads.
 void BlockExec::exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
                          bool converged, std::uint32_t base_thread,
                          std::uint64_t now) {

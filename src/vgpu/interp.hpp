@@ -130,52 +130,33 @@ class BlockExec {
   /// Batched dispatch: when warp `w` is fully converged and sits at the
   /// start of a non-empty straight-line run (DecodedRun), execute the whole
   /// run in one call and return its pre-aggregated accounting; returns
-  /// nullptr when batching does not apply (reference path, warp done or at
-  /// a barrier, divergent mask, or a zero-length run) and the caller must
-  /// fall back to step(). Runs contain no clock reads, no memory accesses
-  /// and no control flow, so no `now` is needed and no StepResult is
-  /// produced; `issued` and `ip` advance by the executed count, keeping the
+  /// nullptr when batching does not apply (no run programs installed, warp
+  /// done or at a barrier, divergent mask, or a zero-length run) and the
+  /// caller must fall back to step(). Runs contain no clock reads, no memory
+  /// accesses and no control flow, so no `now` is needed and no StepResult
+  /// is produced; `issued` and `ip` advance by the run length, keeping the
   /// functional executor's pseudo-time identical to single stepping.
-  /// `max_len` caps the executed prefix (0 = the whole run; the timing
-  /// executor stops early at preemption and bucket horizons); the returned
-  /// descriptor always describes the full run, callers accounting prefixes
-  /// use their own counts.
   ///
-  /// Boundary-step fusion: when `fused` is non-null, the whole run executed
-  /// and the run's terminator is a fusable memory op (DecodedRun::
-  /// fuse_boundary), the terminator executes in the same call - `*fused` is
-  /// filled exactly as step() would have and `*fused_done` set true. The
-  /// caller prices/accounts `*fused` as it would a separate step; with
-  /// `fused_done` false nothing past the run executed. Architectural
+  /// Boundary-step fusion: when the run's terminator is a fusable memory
+  /// op (DecodedRun::fuse_boundary), the terminator executes in the same
+  /// call - `fused` is filled exactly as step() would have and `fused_done`
+  /// set true. The caller accounts `fused` as it would a separate step;
+  /// with `fused_done` false nothing past the run executed. Architectural
   /// effects are bit-identical to the separate step() call.
-  const DecodedRun* step_run(std::uint32_t w, std::uint32_t max_len = 0,
-                             StepResult* fused = nullptr,
-                             bool* fused_done = nullptr);
+  const DecodedRun* step_run(std::uint32_t w, StepResult& fused,
+                             bool& fused_done);
 
-  /// True when every existing lane of warp `w` is active - the precondition
-  /// for batched dispatch (a converged mask cannot change inside a run).
-  [[nodiscard]] bool warp_converged(std::uint32_t w) const {
-    return (warps_[w].active & full_mask_) == full_mask_;
-  }
-
-  /// Install a compiled threaded-code program (threaded.hpp) for batched
-  /// run dispatch: step_run then executes runs through the threaded
-  /// executor instead of the per-instruction exec_alu switch. The program
-  /// must be `build_threaded(*dec)` for the decoded program this BlockExec
-  /// was constructed with; nullptr restores the exec_alu loop. Both
-  /// dispatches are bit-identical in every architectural effect.
-  void set_threaded(const ThreadedProgram* tp) { threaded_ = tp; }
-
-  /// Install compiled superblock traces (traces.hpp) for batched run
-  /// dispatch: full-run step_run calls starting at a trace head execute
-  /// through exec_trace instead of the threaded loop, incrementing
-  /// `*entered` per trace call (the `traces_entered` stat). The program
-  /// must be `build_traces(*dec, *tp)` for the installed threaded program;
-  /// only meaningful with a threaded program installed. nullptr disables
-  /// trace dispatch. Both dispatches are bit-identical in every
-  /// architectural effect.
-  void set_traces(const TraceProgram* traces, std::uint64_t* entered) {
-    traces_ = traces;
+  /// Install the compiled programs step_run dispatches through: the
+  /// threaded-code stream (threaded.hpp) and its superblock traces
+  /// (traces.hpp), both built from the DecodedProgram this BlockExec was
+  /// constructed with. Runs starting at a trace head execute through
+  /// exec_trace, incrementing `*entered` per call (the `traces_entered`
+  /// stat); every other run goes through the threaded loop. Both are
+  /// bit-identical to single stepping in every architectural effect.
+  void set_run_programs(const ThreadedProgram& tp, const TraceProgram& traces,
+                        std::uint64_t* entered) {
+    threaded_ = &tp;
+    traces_ = &traces;
     trace_hits_ = entered;
   }
 
@@ -240,8 +221,8 @@ class BlockExec {
   std::vector<WarpState> warps_;
 
   const DecodedProgram* dec_ = nullptr;
-  const ThreadedProgram* threaded_ = nullptr;  ///< optional run dispatch
-  const TraceProgram* traces_ = nullptr;       ///< optional trace dispatch
+  const ThreadedProgram* threaded_ = nullptr;  ///< step_run dispatch
+  const TraceProgram* traces_ = nullptr;       ///< step_run trace heads
   std::uint64_t* trace_hits_ = nullptr;        ///< counts exec_trace entries
   ConflictMemo* cmemo_ = nullptr;  ///< optional, fast path only
   /// Mask of lanes that exist at this warp size; `exec` covering all of

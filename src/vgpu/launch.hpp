@@ -73,25 +73,24 @@ struct LaunchStats {
   /// Bank-conflict-memo hit/miss totals (zero on the reference path).
   std::uint64_t conflict_memo_hits = 0;
   std::uint64_t conflict_memo_misses = 0;
-  /// Timed run-batching totals (zero on the reference path and with
-  /// TimingOptions::batched off): whole or prefix straight-line runs the
-  /// timing executor issued through the closed-form scoreboard advance, and
-  /// batch attempts that degenerated to single-step issue.
+  /// Retired: nothing writes these, so they are always zero. They counted
+  /// the timing executor's batched runs, batch fallbacks and ready-heap
+  /// pops, which are gone; the fields stay only because the repository
+  /// benchmark (perfbench/workloads.cpp) still reads them.
   std::uint64_t timed_runs_issued = 0;
   std::uint64_t timed_run_fallbacks = 0;
-  /// Decode-cache totals (zero on the reference path and with the cache
-  /// disabled): compiled-kernel lookups served from the process-wide cache
-  /// (progcache.hpp) vs. populated by a fresh decode + threaded compile.
+  /// Decode-cache totals (zero on the reference path): compiled-kernel
+  /// lookups served from the process-wide cache (progcache.hpp) vs.
+  /// populated by a fresh decode + threaded compile.
   std::uint64_t decode_cache_hits = 0;
   std::uint64_t decode_cache_misses = 0;
-  /// Specialization-layer totals (zero with `specialized` off and on the
-  /// reference path): converged runs dispatched through a compiled
-  /// superblock trace (traces.hpp), boundary memory/control steps executed
-  /// fused into the run dispatch that preceded them, and ready-heap pops in
-  /// the timing executor's event-ordered pick loop.
+  /// Functional fast-path totals (zero on the reference path and in the
+  /// timing executor): converged runs dispatched through a compiled
+  /// superblock trace (traces.hpp), and boundary memory steps executed
+  /// fused into the run dispatch that preceded them.
   std::uint64_t traces_entered = 0;
   std::uint64_t fused_boundary_ops = 0;
-  std::uint64_t pick_heap_pops = 0;
+  std::uint64_t pick_heap_pops = 0;  ///< retired, always zero (see above)
 
   [[nodiscard]] std::uint64_t region(Region r) const {
     return region_instructions[static_cast<std::size_t>(r)];
@@ -108,13 +107,10 @@ struct LaunchStats {
     c.coalesce_memo_misses = 0;
     c.conflict_memo_hits = 0;
     c.conflict_memo_misses = 0;
-    c.timed_runs_issued = 0;
-    c.timed_run_fallbacks = 0;
     c.decode_cache_hits = 0;
     c.decode_cache_misses = 0;
     c.traces_entered = 0;
     c.fused_boundary_ops = 0;
-    c.pick_heap_pops = 0;
     return c;
   }
 };

@@ -123,8 +123,8 @@ inline constexpr std::array<OpTraits, kOpcodeCount> kOpTraits =
 }
 
 /// Inline definition of launch.hpp's instr_class: per-step accounting in
-/// both executors calls this once per non-batched instruction, so it must
-/// compile down to one table load.
+/// both executors calls this once per single-stepped instruction, so it
+/// must compile down to one table load.
 [[nodiscard]] inline InstrClass instr_class(Opcode op) {
   return op_traits(op).klass;
 }

@@ -83,27 +83,12 @@ std::string format_profile(const KernelProfile& p, const DeviceSpec& spec) {
   line("warp instrs    : %llu  (IPC/SM %.3f, issue util %.0f%%)",
        static_cast<unsigned long long>(s.warp_instructions), p.ipc,
        100.0 * p.issue_utilization);
-  if (s.timed_runs_issued + s.timed_run_fallbacks > 0) {
-    line("timed runs     : %llu batched / %llu single-step fallbacks "
-         "(%.1f%% batched)",
-         static_cast<unsigned long long>(s.timed_runs_issued),
-         static_cast<unsigned long long>(s.timed_run_fallbacks),
-         100.0 * static_cast<double>(s.timed_runs_issued) /
-             static_cast<double>(s.timed_runs_issued + s.timed_run_fallbacks));
-  }
   if (s.decode_cache_hits + s.decode_cache_misses > 0) {
     line("decode cache   : %llu hits / %llu misses (%.1f%% hit rate)",
          static_cast<unsigned long long>(s.decode_cache_hits),
          static_cast<unsigned long long>(s.decode_cache_misses),
          100.0 * static_cast<double>(s.decode_cache_hits) /
              static_cast<double>(s.decode_cache_hits + s.decode_cache_misses));
-  }
-  if (s.traces_entered + s.fused_boundary_ops + s.pick_heap_pops > 0) {
-    line("specialized    : %llu trace entries, %llu fused boundary ops, "
-         "%llu pick-heap pops",
-         static_cast<unsigned long long>(s.traces_entered),
-         static_cast<unsigned long long>(s.fused_boundary_ops),
-         static_cast<unsigned long long>(s.pick_heap_pops));
   }
   os << "instruction mix:";
   const std::uint64_t total = s.warp_instructions > 0 ? s.warp_instructions : 1;

@@ -1,5 +1,8 @@
 #include "vgpu/progcache.hpp"
 
+#include <mutex>
+#include <vector>
+
 #include "vgpu/check.hpp"
 
 namespace vgpu {
@@ -110,20 +113,6 @@ CompiledKernel::CompiledKernel(const Program& prog)
       dec_(decode(prog)),
       threaded_(build_threaded(dec_)),
       traces_(build_traces(dec_, threaded_)) {}
-
-const RunScheduleTable& CompiledKernel::schedule(const TimingParams& t) const {
-  const std::scoped_lock lock(sched_mu_);
-  for (const SchedEntry& e : sched_) {
-    if (e.issue == t.alu_issue_cycles &&
-        e.latency == t.alu_result_latency_cycles) {
-      return *e.table;
-    }
-  }
-  sched_.push_back(SchedEntry{
-      t.alu_issue_cycles, t.alu_result_latency_cycles,
-      std::make_unique<RunScheduleTable>(schedule_runs(dec_, t))});
-  return *sched_.back().table;
-}
 
 std::shared_ptr<const CompiledKernel> acquire_compiled(const Program& prog,
                                                        bool use_cache,

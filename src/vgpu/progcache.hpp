@@ -1,21 +1,17 @@
 // progcache.hpp - process-wide decode/compile cache for launched kernels.
 //
-// Every launch used to re-run decode() (and the timing executor also
-// schedule_runs()) even when the same Program object was launched hundreds
-// of times in a sweep - bench loops, the figure drivers and the fuzz suites
-// all relaunch identical kernels. The cache compiles a Program once into a
-// CompiledKernel - the DecodedProgram plus its threaded-code twin
-// (threaded.hpp) and lazily-added run-schedule tables per timing parameter
-// set - and hands out shared ownership, so repeat launches skip the whole
+// Every launch used to re-run decode() even when the same Program object
+// was launched hundreds of times in a sweep - bench loops, the figure
+// drivers and the fuzz suites all relaunch identical kernels. The cache
+// compiles a Program once into a CompiledKernel - the DecodedProgram plus
+// its threaded-code twin (threaded.hpp) and superblock traces (traces.hpp)
+// - and hands out shared ownership, so repeat launches skip the whole
 // decode + compile step.
 //
 // Keying: entries are found by an FNV-1a content hash over every
 // decode-relevant Program field, then verified with full structural
 // equality (Program::operator==), so a hash collision degrades to a miss,
-// never to a wrong program. Entries are immutable after insertion except
-// for the schedule list, which is guarded by a per-entry mutex and keyed on
-// (alu_issue_cycles, alu_result_latency_cycles) - the only TimingParams
-// fields schedule_runs() reads.
+// never to a wrong program. Entries are immutable after insertion.
 //
 // The cache is bounded: when it would exceed kDecodeCacheCapacity distinct
 // programs it is cleared wholesale (launch sweeps cycle through a handful
@@ -25,8 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "vgpu/arch.hpp"
 #include "vgpu/decode.hpp"
@@ -50,39 +44,24 @@ class CompiledKernel {
   [[nodiscard]] const DecodedProgram& decoded() const { return dec_; }
   [[nodiscard]] const ThreadedProgram& threaded() const { return threaded_; }
   /// Superblock traces compiled from the threaded program (traces.hpp);
-  /// executors with `specialized` on install these beside the threaded
-  /// stream.
+  /// the functional fast path installs these beside the threaded stream.
   [[nodiscard]] const TraceProgram& traces() const { return traces_; }
 
-  /// The run-schedule table for `t`, computing and memoizing it on first
-  /// use (thread-safe; the returned reference stays valid for the kernel's
-  /// lifetime). Sub-keyed on the two TimingParams fields the schedule
-  /// depends on.
-  [[nodiscard]] const RunScheduleTable& schedule(const TimingParams& t) const;
-
  private:
-  struct SchedEntry {
-    std::uint32_t issue;
-    std::uint32_t latency;
-    std::unique_ptr<RunScheduleTable> table;  ///< stable address under growth
-  };
-
   Program key_;
   DecodedProgram dec_;
   ThreadedProgram threaded_;
   TraceProgram traces_;
-  mutable std::mutex sched_mu_;
-  mutable std::vector<SchedEntry> sched_;
 };
 
 /// Wholesale-clear bound of the process-wide cache, in distinct programs.
 inline constexpr std::size_t kDecodeCacheCapacity = 256;
 
 /// Fetch (or compile and insert) the CompiledKernel for `prog`.
-/// `use_cache == false` compiles privately without touching the cache (the
-/// executors' decode_cache option; also what the reference path uses for
-/// nothing - it never decodes). `hit`, when non-null, reports whether the
-/// result came out of the cache.
+/// `use_cache == false` compiles privately without touching the cache
+/// (the executors always use the cache; tests use this to isolate a
+/// compile). `hit`, when non-null, reports
+/// whether the result came out of the cache.
 [[nodiscard]] std::shared_ptr<const CompiledKernel> acquire_compiled(
     const Program& prog, bool use_cache, bool* hit = nullptr);
 

@@ -1,22 +1,24 @@
 // threaded.hpp - threaded-code execution of decoded straight-line runs.
 //
-// The batched functional fast path (BlockExec::step_run) used to loop a
-// per-instruction `switch (d.op)` over the run (exec_alu). This backend
-// compiles each batchable decoded instruction once per program into a
-// ThreadedOp - a dense handler index plus operand row offsets premultiplied
-// for lane storage - and executes whole runs through a computed-goto
+// The functional fast path (BlockExec::step_run) executes each converged
+// straight-line run in one dispatch. Instead of looping the per-instruction
+// `switch (d.op)` of exec_alu over the run, this backend compiles each
+// batchable decoded instruction once per program into a ThreadedOp - a
+// dense handler index plus operand row offsets premultiplied for lane
+// storage - and executes whole runs through a computed-goto
 // dispatch loop (GCC/Clang `&&label` token threading), falling back to a
 // portable dense-switch loop when the extension is unavailable
 // (configure-time: the build defines VGPU_HAVE_COMPUTED_GOTO when the
 // probe in src/vgpu/CMakeLists.txt compiles; GCM_PORTABLE_DISPATCH=ON
 // forces the fallback).
 //
-// Both dispatch loops and the legacy exec_alu loop are required to be
-// bit-identical in every architectural effect; the handler bodies are the
-// exact expressions of the corresponding exec_alu cases, and the
-// differential suites (threaded_dispatch_test, fuzz_differential_test,
-// fastpath_equivalence_test) compare all of them against the reference
-// interpreter.
+// Both dispatch loops are required to be bit-identical to exec_alu, which
+// still single-steps the same opcodes on the timed and divergent paths; the
+// handler bodies are the exact expressions of the corresponding exec_alu
+// cases. threaded_dispatch_test runs the two loops side by side over every
+// handler, and the differential suites (fuzz_differential_test,
+// fastpath_equivalence_test) compare the functional executor, which runs
+// them, against the reference interpreter.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +29,6 @@
 namespace vgpu {
 
 struct DecodedProgram;
-
-/// How executors dispatch converged straight-line runs on the fast path:
-/// the legacy per-instruction opcode switch (exec_alu), or the compiled
-/// threaded-code loop. Both are bit-identical; kThreaded is the default.
-enum class RunDispatch : std::uint8_t { kSwitch, kThreaded };
 
 /// Dense handler set of the threaded executor: exactly the run-eligible
 /// opcodes (opclass.hpp), with kMovSpecial split per special register so

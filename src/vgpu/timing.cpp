@@ -116,23 +116,6 @@ struct ResidentBlock {
 
 enum : std::uint8_t { kReadyInvalid = 0, kReadyCached = 1, kReadySkip = 2 };
 
-/// One sleeping pick candidate (specialized runs only): (slot, warp) index
-/// `idx` is provably not issueable before `when` - its cached probe value
-/// at push time. Entries are lazily deleted: when one surfaces at the heap
-/// top it is validated against the live probe cache and dropped if the
-/// probe has been invalidated or re-cached since the push.
-struct HeapEntry {
-  std::uint64_t when = 0;
-  std::uint32_t idx = 0;
-};
-
-/// Min-heap order for std::push_heap/std::pop_heap (which build max-heaps).
-struct HeapLater {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    return a.when > b.when;
-  }
-};
-
 /// Why an SM suspended mid-bucket. SMs park when the next action depends on
 /// shared state - the grid block queue or an unresolved DRAM completion -
 /// and the bucket driver resumes them in (pre-step cycle, SM id) order.
@@ -152,15 +135,6 @@ struct Sm {
   /// dispatches can change it (and both set this), so the fast path elides
   /// the scan while it stays false.
   bool barrier_dirty = true;
-  /// Adaptive attempt gate for batched issue. When every other warp keeps
-  /// the SM saturated, round-robin preempts every batch at one instruction;
-  /// after such a degenerate attempt further attempts are skipped until the
-  /// candidate population could have thinned (an idle jump, a parked-stall
-  /// resume, a warp going done/at-barrier, or a dispatch). Purely a
-  /// cost gate: issuing through the batch path or the per-instruction path
-  /// is bit-identical, so when attempts run is unobservable in
-  /// LaunchStats::core(), memory, and the event stream.
-  bool batch_ok = true;
   /// Per-SM texture cache: line tags in LRU order (front = most recent).
   std::vector<std::uint32_t> tex_lines;
   // Parking state.
@@ -169,18 +143,6 @@ struct Sm {
   std::size_t park_slot = 0;     ///< kDispatch: slot awaiting a grid block
   std::uint64_t park_when = 0;   ///< kDispatch: retirement cycle
   std::size_t park_event = kNoEvent;  ///< kDispatch: reserved BlockSpan index
-
-  /// Ready-heap pick state (specialized runs only). Candidates whose cached
-  /// probe says "not ready before cycle X" sleep in a bucketed min-heap
-  /// keyed on X instead of being rescanned every pick; `asleep[idx]` marks
-  /// the (slot, warp) indices whose *current* cached probe has a live heap
-  /// entry. pick_warp's scan skips sleeping candidates and the heap top
-  /// bounds their contribution to next_event exactly. Sleep entries go
-  /// stale - never wrong - through the existing invalidation hooks: every
-  /// set_slot_ready / barrier release / dispatch / own-issue already resets
-  /// ready_state, which the liveness check reads.
-  std::vector<HeapEntry> ready_heap;
-  std::vector<std::uint8_t> asleep;
 
   /// Some slot holds a block. Only do_dispatch installs or retires blocks,
   /// so it alone updates this. run_sm reads it once per step; walking the
@@ -321,11 +283,6 @@ void accumulate_counters(LaunchStats& into, const LaunchStats& part) {
   into.tex_hits += part.tex_hits;
   into.tex_misses += part.tex_misses;
   into.barriers += part.barriers;
-  into.timed_runs_issued += part.timed_runs_issued;
-  into.timed_run_fallbacks += part.timed_run_fallbacks;
-  into.traces_entered += part.traces_entered;
-  into.fused_boundary_ops += part.fused_boundary_ops;
-  into.pick_heap_pops += part.pick_heap_pops;
 }
 
 /// Fork/join pool for the bucket phases: one persistent thread per extra
@@ -438,10 +395,6 @@ class TimedRun {
     std::int64_t chosen = -1;
     std::uint64_t next_event = kNever;
     bool pending = false;  ///< a candidate waits on an unresolved DRAM value
-    /// The chosen warp is batch-eligible (converged, at a run of len >= 2).
-    /// `next_event`/`pending` then describe every *other* candidate - the
-    /// earliest cycle at which one could preempt the run.
-    bool batch = false;
   };
 
   void do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
@@ -455,14 +408,14 @@ class TimedRun {
   void set_slot_ready(ResidentBlock& rb, std::uint32_t w, std::uint32_t slot,
                       std::uint32_t words, std::uint64_t when,
                       std::uint8_t reason) const;
-  [[nodiscard]] Pick pick_warp(Sm& sm, LaunchStats& stats) const;
+  [[nodiscard]] Pick pick_warp(Sm& sm) const;
   /// Why (and at which PC) an SM-wide stall ending at `next_event` was
   /// spent: finds the first candidate in scan order whose ready cycle
   /// attains `next_event` - the warp whose wake-up ends the window - and
   /// walks its dependencies for the latest-arriving contributor, breaking
   /// ties toward the smallest StallReason value. Recomputes from concrete
-  /// state only (no cache mutation), so batched/unbatched and any thread
-  /// count classify identically. `pc` is meaningful on the fast path only.
+  /// state only (no cache mutation), so any thread count classifies
+  /// identically. `pc` is meaningful on the fast path only.
   struct StallCause {
     std::uint8_t reason = kRsnPipeline;
     std::uint32_t pc = 0;
@@ -471,14 +424,7 @@ class TimedRun {
                                           std::uint64_t next_event) const;
   void charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                     std::uint64_t next_event);
-  /// Returns true when the whole run issued (k == run.len) and it ends in a
-  /// fusable boundary memory op (DecodedRun::fuse_boundary) - sm_step may
-  /// then fuse that op into the same dispatch if its own gates hold.
-  bool issue_run(Sm& sm, std::uint32_t sm_id, std::size_t slot,
-                 std::uint32_t w, const Pick& pick, WorkerCtx& ctx,
-                 std::uint64_t bucket_end);
-  void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
-               std::uint64_t bucket_end);
+  void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
   void run_buckets();
   void worker_phase(std::uint32_t w);
   void run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
@@ -530,16 +476,12 @@ class TimedRun {
   std::uint32_t blocks_to_sim_ = 0;
   std::uint32_t nthreads_ = 1;
   bool fast_ = false;
-  bool batched_ = false;  ///< fast path with TimingOptions::batched
-  bool specialized_ = false;  ///< batched_ with TimingOptions::specialized:
-                              ///< traces, boundary fusion, ready-heap pick
   bool classify_ = false;  ///< maintain stall-reason metadata (attribution
                            ///< requested or a sink is attached)
   bool attr_ = false;      ///< fill per-PC attribution tables (fast path)
   double channel_cycles_per_byte_ = 0.0;
   std::shared_ptr<const CompiledKernel> ck_;  ///< fast path only
   const DecodedProgram* decp_ = nullptr;
-  const RunScheduleTable* sched_ = nullptr;  ///< batched_ only
 
   // Run state.
   std::vector<Sm> sms_;
@@ -560,7 +502,6 @@ void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
                            std::uint64_t when, std::size_t reserved) {
   ResidentBlock& rb = sm.slots[slot];
   sm.barrier_dirty = true;  // a fresh block's warps invalidate the elision
-  sm.batch_ok = true;       // dispatch changes the candidate population
   if (sink_ != nullptr && rb.exec) {
     // The retiring exit step reserved this event under its own key.
     events_[sm_id][reserved].span = TimelineSink::BlockSpan{
@@ -589,15 +530,6 @@ void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
       // threads. Installed once; reset() keeps the pointer.
       WorkerCtx& ctx = workers_[sm_id % nthreads_];
       rb.exec->set_conflict_memo(ctx.cmemo ? &*ctx.cmemo : nullptr);
-      if (opt_.dispatch == RunDispatch::kThreaded) {
-        rb.exec->set_threaded(&ck_->threaded());
-      }
-      if (specialized_) {
-        // Full batches (k == run.len) dispatch through the compiled trace;
-        // the hit counter lands in the owning worker's stats partial (the
-        // SM->worker map is static, so no cross-thread writes).
-        rb.exec->set_traces(&ck_->traces(), &ctx.stats.traces_entered);
-      }
     }
   }
   rb.reg_ready.assign(
@@ -698,41 +630,14 @@ void TimedRun::set_slot_ready(ResidentBlock& rb, std::uint32_t w,
 }
 
 // Picks an issueable warp (loose round robin) considering both the issue
-// pipeline and the register scoreboard. When nothing is issueable,
-// next_event is the earliest known wake-up and `pending` flags whether some
-// candidate's wake-up is an unresolved DRAM completion.
-//
-// When the chosen warp is batch-eligible (converged at a run of len >= 2)
-// the scan continues over the remaining candidates: after an issue the
-// round-robin cursor makes the issuing warp the *last* candidate scanned,
-// so the batch may keep issuing exactly while it strictly beats every other
-// candidate's ready cycle - `next_event`/`pending` then carry that bound
-// (issue_run). A non-eligible chosen warp keeps the early return.
-TimedRun::Pick TimedRun::pick_warp(Sm& sm, LaunchStats& stats) const {
+// pipeline and the register scoreboard: the first ready candidate from the
+// round-robin cursor wins. When nothing is issueable, next_event is the
+// earliest known wake-up and `pending` flags whether some candidate's
+// wake-up is an unresolved DRAM completion.
+TimedRun::Pick TimedRun::pick_warp(Sm& sm) const {
   const std::uint32_t total =
       static_cast<std::uint32_t>(sm.slots.size()) * warps_per_block_;
   Pick p;
-  std::uint64_t veto = 0;
-  if (specialized_) {
-    // Ready-heap pick loop: wake every sleeping candidate whose cycle has
-    // come, dropping stale entries that surface at the top. Afterwards the
-    // heap top is a lower bound on every sleeping candidate (min-heap over
-    // live and stale keys alike), so anything still asleep is provably not
-    // issueable this pick and the scan below skips it.
-    while (!sm.ready_heap.empty()) {
-      const HeapEntry top = sm.ready_heap.front();
-      const ResidentBlock& trb = sm.slots[top.idx / warps_per_block_];
-      const std::uint32_t tw = top.idx % warps_per_block_;
-      const bool live = sm.asleep[top.idx] != 0 &&
-                        trb.ready_state[tw] == kReadyCached &&
-                        trb.ready_cache[tw] == top.when;
-      if (live && top.when > sm.cycle) break;
-      std::pop_heap(sm.ready_heap.begin(), sm.ready_heap.end(), HeapLater{});
-      sm.ready_heap.pop_back();
-      ++stats.pick_heap_pops;
-      if (live) sm.asleep[top.idx] = 0;  // due: rejoin the scanned set
-    }
-  }
   // Walk (slot, warp) incrementally from the round-robin cursor instead of
   // dividing per probe; most picks touch only the first candidate.
   std::uint32_t idx = sm.rr % total;
@@ -758,94 +663,35 @@ TimedRun::Pick TimedRun::pick_warp(Sm& sm, LaunchStats& stats) const {
       // Hoisted scoreboard walk: nothing that feeds this warp's probe has
       // changed since it was last computed.
       if (rb.ready_state[w] == kReadySkip) continue;  // done or at barrier
-      if (specialized_ && sm.asleep[idx] != 0) continue;  // heap-bounded
       ready_at = rb.ready_cache[w];
     } else if (fast_) {
       const DecodedInstr* din = rb.exec->peek_decoded(w);
       if (din == nullptr) {  // done or at barrier
         rb.ready_state[w] = kReadySkip;
-        if (batched_) sm.batch_ok = true;  // the candidate population thinned
         continue;
       }
       ready_at =
           std::max(rb.exec->warp(w).ready_cycle, dep_ready_fast(rb, w, *din));
-      if (!(p.chosen < 0 && ready_at <= sm.cycle)) {
-        // A probe about to be chosen gets invalidated by its own issue in
-        // this same step; storing it would be wasted work on the dominant
-        // saturated path.
+      if (ready_at > sm.cycle) {
+        // Only a probe that is not chosen now is worth caching: a chosen
+        // one is invalidated by its own issue in this same step, the
+        // dominant case on a saturated SM.
         rb.ready_cache[w] = ready_at;
         rb.ready_state[w] = kReadyCached;
-        if (specialized_) {
-          // Put the freshly cached probe to sleep (kNever probes stay in
-          // the scan - they carry the `pending` flag). The candidate still
-          // contributes to this pick's next_event/veto bounds below;
-          // subsequent picks read it from the heap top instead.
-          if (ready_at != kNever) {
-            sm.asleep[idx] = 1;
-            sm.ready_heap.push_back(HeapEntry{ready_at, idx});
-            std::push_heap(sm.ready_heap.begin(), sm.ready_heap.end(),
-                           HeapLater{});
-          } else {
-            sm.asleep[idx] = 0;  // a stale sleep entry must not shadow it
-          }
-        }
       }
     } else {
       const Instruction* in = rb.exec->peek(w);
       if (in == nullptr) continue;  // done or at barrier
       ready_at = std::max(rb.exec->warp(w).ready_cycle, dep_ready(rb, w, *in));
     }
-    if (p.chosen < 0 && ready_at <= sm.cycle) {
+    if (ready_at <= sm.cycle) {
       p.chosen = idx;
-      const WarpState& ws = rb.exec->warp(w);
-      if (batched_ && sm.batch_ok && rb.exec->warp_converged(w) &&
-          decp_->run_at(ws.block, ws.ip).len >= 2) {
-        p.batch = true;
-        // Any other candidate ready at or before the run's second issue
-        // offset already kills every batch longer than one instruction, so
-        // the tail scan can stop at the first such veto (its ready cycle
-        // is bound enough - issue_run only compares against it).
-        const RunSchedule& rs =
-            sched_->runs[decp_->block_start[ws.block] + ws.ip];
-        veto = sm.cycle + sched_->offs[rs.off_begin + 1];
-        continue;  // keep scanning: the rest bound the batch length
-      }
       return p;
     }
     if (ready_at == kNever) {
       p.pending = true;
     } else {
       p.next_event = std::min(p.next_event, ready_at);
-      if (ready_at <= veto) {
-        sm.batch_ok = false;  // saturated: stop attempting until it thins
-        // A vetoed batch degenerates to one instruction whose closed-form
-        // charge is the plain kAlu charge; specialized runs route it
-        // through the per-instruction path instead of counting a fallback.
-        if (specialized_) p.batch = false;
-        return p;
-      }
-    }
-  }
-  if (specialized_) {
-    // Fold the sleeping candidates back in: the first live heap entry is
-    // their exact minimum wake-up (the wake loop above already removed
-    // everything due, so live entries are strictly in the future).
-    while (!sm.ready_heap.empty()) {
-      const HeapEntry top = sm.ready_heap.front();
-      const ResidentBlock& trb = sm.slots[top.idx / warps_per_block_];
-      const std::uint32_t tw = top.idx % warps_per_block_;
-      if (sm.asleep[top.idx] != 0 && trb.ready_state[tw] == kReadyCached &&
-          trb.ready_cache[tw] == top.when) {
-        p.next_event = std::min(p.next_event, top.when);
-        if (p.batch && top.when <= veto) {
-          sm.batch_ok = false;  // a sleeper preempts the second instruction
-          p.batch = false;
-        }
-        break;
-      }
-      std::pop_heap(sm.ready_heap.begin(), sm.ready_heap.end(), HeapLater{});
-      sm.ready_heap.pop_back();
-      ++stats.pick_heap_pops;
     }
   }
   return p;
@@ -856,14 +702,11 @@ TimedRun::Pick TimedRun::pick_warp(Sm& sm, LaunchStats& stats) const {
 // next_event (its wake-up is what ends the window - every other candidate
 // wakes at or after it), then re-walk that candidate's dependencies for
 // the latest-arriving contributor. Ties go to the smallest StallReason
-// value, which is what makes the batched path's arithmetic gap
-// attribution (always kPipeline) agree with this walk: a positive
-// intra-run gap is always attained by an in-run ALU producer, and a
-// surviving external dependency can at most tie.
+// value.
 //
 // The walk recomputes ready cycles from concrete scoreboard state and
-// never touches the probe caches, so it is a pure read: batched and
-// unbatched dispatch, and any thread count, classify identically. An
+// never touches the probe caches, so it is a pure read: any thread count
+// classifies identically. An
 // unresolved (kNever) contributor can never attain next_event (< bucket
 // end <= any deferred completion), so candidates with in-flight values are
 // skipped exactly as their resolved values would dictate.
@@ -982,172 +825,12 @@ void TimedRun::charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
   sm.cycle = next_event;
 }
 
-// Batched issue of a converged straight-line run: replays, in one step,
-// exactly what the per-instruction loop would have done for the longest
-// prefix of the run that is provably uninterrupted.
-//
-// The closed form rests on three facts. (1) Inside a run every instruction
-// is a guard-free register ALU op, so its issue offset depends only on the
-// fixed issue/latency parameters and in-run producers - precomputed by
-// schedule_runs(). (2) External reads (slots/predicates with no in-run
-// writer) cannot *move* an issue offset, only veto it: if the scoreboard
-// says an external slot becomes ready after its first in-run read would
-// issue, the batch stops right before that reader and the shorter prefix
-// stays exact (instruction 0's reads were validated by pick_warp). No
-// scoreboard entry our run reads can change mid-run: other warps' loads
-// write other warps' scoreboards, and deferred merges only run between
-// buckets. (3) After an issue the round-robin cursor makes our warp the
-// last candidate scanned, so instruction j continues the run iff its issue
-// cycle strictly beats every other candidate's ready cycle (ties preempt:
-// the other candidate is scanned first). pick_warp's tail scan provides
-// that bound; an unresolved DRAM wake-up resolves at or after the bucket
-// end, so `bucket_end` stands in for it exactly like the park-kStall
-// reasoning.
-//
-// Cycle, sm_issue_cycles, sm_idle_cycles, scoreboard writebacks and - with
-// a sink attached - the per-instruction Issue/Stall spans all match the
-// per-instruction loop bit for bit. A batch that degenerates to one
-// instruction (preempted or externally capped) still issues through this
-// path - the k = 1 charge is the plain kAlu charge, minus the generic
-// dispatch machinery - and counts as a fallback.
-bool TimedRun::issue_run(Sm& sm, std::uint32_t sm_id, std::size_t slot,
-                         std::uint32_t w, const Pick& pick, WorkerCtx& ctx,
-                         std::uint64_t bucket_end) {
-  ResidentBlock& rb = sm.slots[slot];
-  BlockExec& exec = *rb.exec;
-  WarpState& ws = exec.warp(w);
-  const std::size_t first = decp_->block_start[ws.block] + ws.ip;
-  const DecodedRun& run = decp_->runs[first];
-  const RunSchedule& rs = sched_->runs[first];
-  const std::uint32_t* off = sched_->offs.data() + rs.off_begin;
-  const std::uint64_t c = sm.cycle;
+void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
   LaunchStats& stats = ctx.stats;
-
-  // The earliest cycle at which any other candidate could claim the issue
-  // slot. Unresolved DRAM wake-ups are bounded below by the bucket end.
-  const std::uint64_t other_eff =
-      pick.pending ? std::min(pick.next_event, bucket_end) : pick.next_event;
-
-  // Preemption bound first (cheap offset compares), then the external
-  // read-set validation caps the batch at the first surviving reader whose
-  // dependency the scoreboard cannot prove ready in time. Instruction 0's
-  // reads were already validated by pick_warp, so k never drops to zero.
-  std::uint32_t k = 1;
-  while (k < run.len && c + off[k] < other_eff) ++k;
-  const std::size_t rbase = static_cast<std::size_t>(w) * prog_.reg_file_size;
-  for (std::uint32_t e = 0; e < rs.ext_count; ++e) {
-    const RunScheduleTable::ExtDep& d = sched_->ext[rs.ext_begin + e];
-    if (d.idx < k && rb.reg_ready[rbase + d.slot] > c + d.off) k = d.idx;
-  }
-  if (rs.pext_count != 0) {
-    const std::size_t pbase = static_cast<std::size_t>(w) * prog_.num_preds;
-    for (std::uint32_t e = 0; e < rs.pext_count; ++e) {
-      const RunScheduleTable::ExtPred& d = sched_->pext[rs.pext_begin + e];
-      if (d.idx < k && rb.pred_ready[pbase + d.pred] > c + d.off) {
-        k = d.idx;
-      }
-    }
-  }
-
-  const DecodedRun* stepped = exec.step_run(w, k);
-  VGPU_EXPECTS_MSG(stepped != nullptr, "batched issue lost its run");
-  rb.ready_state[w] = kReadyInvalid;  // ip moved: the cached probe is stale
-  if (k < 2) {
-    ++stats.timed_run_fallbacks;
-    sm.batch_ok = false;  // saturated: stop attempting until it thins
-  } else {
-    ++stats.timed_runs_issued;
-  }
-  stats.warp_instructions += k;
-  stats.region_instructions[static_cast<std::size_t>(run.region)] += k;
-  if (k == run.len) {
-    for (std::size_t cidx = 0; cidx < run.class_counts.size(); ++cidx) {
-      stats.instr_class_counts[cidx] += run.class_counts[cidx];
-    }
-  } else {
-    // Prefix histogram = this run's minus the suffix run's (runs[] holds
-    // the suffix starting at every in-run position).
-    const DecodedRun& rest = decp_->runs[first + k];
-    for (std::size_t cidx = 0; cidx < run.class_counts.size(); ++cidx) {
-      stats.instr_class_counts[cidx] +=
-          run.class_counts[cidx] - rest.class_counts[cidx];
-    }
-  }
-
-  const std::uint64_t end = c + off[k - 1] + t_.alu_issue_cycles;
-  stats.sm_issue_cycles +=
-      static_cast<std::uint64_t>(k) * t_.alu_issue_cycles;
-  stats.sm_idle_cycles +=
-      off[k - 1] - static_cast<std::uint64_t>(k - 1) * t_.alu_issue_cycles;
-  sm.cycle = end;
-  ws.ready_cycle = end;
-  if (classify_) rb.warp_reason[w] = kRsnIssuePort;
-
-  if (attr_) {
-    // The closed-form offsets attribute the batch exactly, no replay
-    // needed: each issued instruction occupied the port for alu_issue
-    // cycles at its own PC, and a positive gap before instruction j is a
-    // wait for an in-run ALU producer - pipeline latency by construction
-    // (an external dependency validated by the ext table can only tie,
-    // and pipeline wins ties in classify_stall's walk too).
-    PcAttribution* const a = ctx.attr.data() + first;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      ++a[j].issues;
-      a[j].issue_cycles += t_.alu_issue_cycles;
-    }
-    for (std::uint32_t j = 1; j < k; ++j) {
-      const std::uint64_t gap =
-          static_cast<std::uint64_t>(off[j]) - off[j - 1] -
-          t_.alu_issue_cycles;
-      if (gap != 0) {
-        a[j].stall_cycles[kRsnPipeline] += gap;
-      }
-    }
-  }
-
-  if (k == run.len) {
-    for (std::uint32_t i = 0; i < rs.wb_count; ++i) {
-      const RunScheduleTable::Writeback& wb = sched_->wb[rs.wb_begin + i];
-      set_slot_ready(rb, w, wb.slot, 1, c + wb.ready_off, kRsnPipeline);
-    }
-  } else {
-    const DecodedInstr* const ds = decp_->instrs.data() + first;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      set_slot_ready(rb, w, ds[j].dst_slot, 1,
-                     c + off[j] + t_.alu_issue_cycles +
-                         t_.alu_result_latency_cycles,
-                     kRsnPipeline);
-    }
-  }
-
-  if (sink_ != nullptr) {
-    const DecodedInstr* const ds = decp_->instrs.data() + first;
-    std::uint64_t prev_end = c;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      const std::uint64_t start = c + off[j];
-      if (start > prev_end) {
-        emit(sm_id, prev_end,
-             TimelineSink::StallSpan{sm_id, prev_end, start,
-                                     StallReason::kPipeline});
-      }
-      emit(sm_id, start,
-           TimelineSink::IssueSpan{sm_id, static_cast<std::uint32_t>(slot), w,
-                                   instr_class(ds[j].op), start,
-                                   start + t_.alu_issue_cycles});
-      prev_end = start + t_.alu_issue_cycles;
-    }
-  }
-  return k == run.len && run.fuse_boundary;
-}
-
-void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
-                       std::uint64_t bucket_end) {
-  LaunchStats& stats = ctx.stats;
-  // 1. release any satisfiable barriers. Only a generic step or a dispatch
-  // can change a warp's done/at-barrier state, and both dirty the flag, so
-  // the whole fast path (batched or single-step) elides the scan until then;
-  // the reference path keeps the unconditional scan of the original
-  // schedule.
+  // 1. release any satisfiable barriers. Only a step reaching a barrier or
+  // exit, or a dispatch, can change a warp's done/at-barrier state, and
+  // both dirty the flag, so the fast path elides the scan until then; the
+  // reference path keeps the unconditional scan of the original schedule.
   if (!fast_ || sm.barrier_dirty) {
     for (std::size_t slot = 0; slot < sm.slots.size(); ++slot) {
       BlockExec* exec = sm.slots[slot].exec.get();
@@ -1174,10 +857,9 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
   }
 
   // 2. pick an issueable warp
-  const Pick pick = pick_warp(sm, stats);
+  const Pick pick = pick_warp(sm);
   if (pick.chosen < 0) {
-    sm.batch_ok = true;  // nothing issueable: the population thinned
-    if (pick.pending && pick.next_event >= bucket_end) {
+    if (pick.pending && pick.next_event >= bucket_end_) {
       // A candidate waits on an in-flight DRAM value whose exact arrival is
       // known only after the bucket merge, and every *known* wake-up is at
       // or past the bucket end (unresolved ones are too: the bucket width
@@ -1199,33 +881,6 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
   ResidentBlock& rb = sm.slots[slot];
   BlockExec& exec = *rb.exec;
   WarpState& ws = exec.warp(w);
-
-  // Batched issue of a straight-line run (a preempted batch degenerates to
-  // a single closed-form ALU issue inside issue_run - same charge as the
-  // kAlu case below, without the generic dispatch machinery).
-  if (pick.batch) {
-    const bool fusable = issue_run(sm, sm_id, slot, w, pick, ctx, bucket_end);
-    // Boundary-step fusion (specialized runs): when the whole run issued,
-    // it ends in a fusable memory op, and no other candidate becomes
-    // issueable at or before the run's end (ties preempt: the round-robin
-    // cursor scans this warp last), the next pick is provably this same
-    // warp at that memory op - skip the pick scan and issue it in the same
-    // dispatch through the generic path below, which prices it exactly as
-    // a separate step would. SMs touch no shared state inside a bucket, so
-    // the op may be of any kind. The elided barrier-release scan is dead (a
-    // run issues no barriers/exits, so barrier_dirty stayed false) and the
-    // elided `sm.rr` update is a no-op (same chosen index either way).
-    if (!specialized_ || !fusable || pick.next_event <= sm.cycle ||
-        sm.cycle >= bucket_end) {
-      return;
-    }
-    const DecodedInstr& bnd = *exec.peek_decoded(w);
-    // The boundary op's own dependencies, read after the run's writebacks
-    // (issue_run already set ws.ready_cycle to the run end = sm.cycle).
-    if (dep_ready_fast(rb, w, bnd) > sm.cycle) return;
-    ++stats.fused_boundary_ops;
-    // fall through: issue the boundary op now
-  }
 
   // Snapshot what the writeback stage needs before step advances state.
   IssueView iv;
@@ -1591,7 +1246,7 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
 // Steps one SM until it leaves the bucket, parks, or runs out of work.
 void TimedRun::run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
   while (sm.park == Park::kNone && sm.cycle < bucket_end_ && sm.any_work) {
-    sm_step(sm, sm_id, ctx, bucket_end_);
+    sm_step(sm, sm_id, ctx);
   }
 }
 
@@ -1679,9 +1334,8 @@ void TimedRun::finish_parked_stalls() {
     Sm& sm = sms_[s];
     if (sm.park != Park::kStall) continue;
     sm.park = Park::kNone;
-    sm.batch_ok = true;  // parked stall: the population thinned
     WorkerCtx& ctx = workers_[s % nthreads_];
-    const Pick pick = pick_warp(sm, ctx.stats);
+    const Pick pick = pick_warp(sm);
     VGPU_EXPECTS_MSG(pick.chosen < 0 && !pick.pending,
                      "parked stall resolved to an issueable warp");
     charge_stall(sm, s, ctx, pick.next_event);
@@ -1778,16 +1432,11 @@ LaunchStats TimedRun::run() {
 
   if (!opt_.reference) {
     bool cache_hit = false;
-    ck_ = acquire_compiled(prog_, opt_.decode_cache, &cache_hit);
-    if (opt_.decode_cache) {
-      ++(cache_hit ? stats_.decode_cache_hits : stats_.decode_cache_misses);
-    }
+    ck_ = acquire_compiled(prog_, /*use_cache=*/true, &cache_hit);
+    ++(cache_hit ? stats_.decode_cache_hits : stats_.decode_cache_misses);
     decp_ = &ck_->decoded();
   }
   fast_ = decp_ != nullptr;
-  batched_ = fast_ && opt_.batched;
-  specialized_ = batched_ && opt_.specialized;
-  if (batched_) sched_ = &ck_->schedule(t_);
   // Per-PC attribution needs the decoded PC mapping (fast path only);
   // stall classification additionally feeds StallSpan reasons, so it runs
   // whenever a sink is attached, on either path.
@@ -1811,12 +1460,6 @@ LaunchStats TimedRun::run() {
 
   for (std::uint32_t s = 0; s < n_sms_; ++s) {
     sms_[s].slots.resize(occ.blocks_per_sm);
-    if (specialized_) {
-      const std::size_t cands =
-          static_cast<std::size_t>(occ.blocks_per_sm) * warps_per_block_;
-      sms_[s].asleep.assign(cands, 0);
-      sms_[s].ready_heap.reserve(cands);
-    }
   }
   // breadth-first initial placement: block b goes to SM b % n_sms
   for (std::uint32_t k = 0; k < occ.blocks_per_sm; ++k) {

@@ -23,7 +23,6 @@
 #include "vgpu/attribution.hpp"
 #include "vgpu/launch.hpp"
 #include "vgpu/memory.hpp"
-#include "vgpu/threaded.hpp"
 
 namespace vgpu {
 
@@ -45,41 +44,20 @@ struct TimingOptions {
   /// Run the reference interpreter/scoreboard instead of the pre-decoded
   /// fast path. Both must report identical LaunchStats::core() - including
   /// cycles - and identical memory contents; the differential tests
-  /// exercise this flag.
+  /// exercise this flag. The fast path serves its decoded program from the
+  /// process-wide decode cache (progcache.hpp) and issues one instruction
+  /// per scheduling decision, like the reference, with the scoreboard read
+  /// set pre-flattened and each warp's probe result cached between picks.
   bool reference = false;
-  /// Issue whole converged straight-line runs (DecodedRun) per scheduling
-  /// decision on the fast path, replaying the closed-form issue schedule
-  /// precomputed at decode time instead of walking the scoreboard per
-  /// instruction. Bit-identical to single-step issue - LaunchStats::core()
-  /// *including cycles*, memory, and the sink event stream - at every
-  /// thread count (docs/performance.md, "Timed run batching"); off forces
-  /// per-instruction issue. Ignored on the reference path.
-  bool batched = true;
-  /// How issued runs execute architecturally (BlockExec::step_run): the
-  /// compiled threaded-code loop (threaded.hpp, the default) or the legacy
-  /// per-instruction exec_alu switch. Bit-identical by construction.
-  RunDispatch dispatch = RunDispatch::kThreaded;
-  /// Serve decode + threaded compilation (and the per-TimingParams run
-  /// schedules) from the process-wide cache (progcache.hpp). Off: compile
-  /// privately per launch. Ignored on the reference path.
-  bool decode_cache = true;
   /// Per-static-PC stall attribution output (null = off). When set on the
   /// fast path, the run fills the table with issue cycles, stall cycles by
   /// StallReason and memory traffic per decoded PC; the per-PC sums
   /// reconcile exactly with the returned LaunchStats (see
   /// attribution.hpp::reconciles). Collection is cycle-identical - it
   /// observes scheduling decisions the executor already makes - and
-  /// bit-identical at any thread count and with batching on or off.
+  /// bit-identical at any thread count.
   /// Reference-interpreter runs leave the table with collected = false.
   Attribution* attribution = nullptr;
-  /// Specialized run execution: event-ordered ready-heap pick loop,
-  /// superblock trace dispatch for issued runs, and boundary-step fusion of
-  /// the run-terminating op into its run's dispatch. Bit-identical on/off -
-  /// LaunchStats::core() *including cycles* - at every thread count and
-  /// with batching on or off; `sim_throughput --specialized=off` and the
-  /// SpecializedMatchesPlain differentials exercise this flag. Ignored on
-  /// the reference path.
-  bool specialized = true;
   /// Host threads stepping SMs (0 counts as 1). Every run steps the SMs
   /// through conservative cycle buckets and merges DRAM-partition traffic
   /// deterministically between them; more threads shard each bucket's SMs

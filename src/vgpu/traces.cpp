@@ -196,8 +196,7 @@ TraceProgram build_traces(const DecodedProgram& dec,
       const DecodedRun& run = dec.runs[i];
       if (run.len < 2) continue;
       // Heads only: a position mid-run (its predecessor continues a run)
-      // is reachable only after a timing-executor preemption and executes
-      // through the threaded loop instead.
+      // is never where step_run enters a run.
       if (i != begin && dec.runs[i - 1].len != 0) continue;
 
       Trace tr;

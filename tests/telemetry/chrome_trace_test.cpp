@@ -92,6 +92,31 @@ TEST(ChromeTrace, ThreadedRunEmitsIdenticalEventStream) {
   }
 }
 
+// A sink and an attribution table on the same launch share the stall
+// classification. At every thread count the stream must still be the
+// serial driver's recorded stream, and the table must reconcile, agree
+// across thread counts, and equal the attribution-only run's - as must
+// LaunchStats::core().
+TEST(ChromeTrace, SinkAndAttributionOnOneLaunch) {
+  vgpu::Attribution alone;
+  const vgpu::LaunchStats alone_stats =
+      test::run_read_kernel(nullptr, 4096, 128, 1, &alone);
+  ASSERT_TRUE(alone.collected);
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    RecordingSink rec;
+    vgpu::Attribution attr;
+    const vgpu::LaunchStats stats =
+        test::run_read_kernel(&rec, 4096, 128, threads, &attr);
+    EXPECT_EQ(vgpu::golden::stream_digest(rec.log),
+              vgpu::golden::kReadKernelStream)
+        << "threads=" << threads;
+    ASSERT_TRUE(attr.collected) << "threads=" << threads;
+    EXPECT_TRUE(vgpu::reconciles(attr, stats)) << "threads=" << threads;
+    EXPECT_TRUE(attr == alone) << "threads=" << threads;
+    EXPECT_TRUE(stats.core() == alone_stats.core()) << "threads=" << threads;
+  }
+}
+
 TEST(ChromeTrace, EmitsValidMonotoneMatchedTrace) {
   ChromeTraceSink trace;
   (void)test::run_read_kernel(&trace);

@@ -1,6 +1,7 @@
 // timed_run.hpp - shared fixture helper for the telemetry tests: run the
 // Fig. 10 strip-down read kernel (a real multi-block, memory-bound launch)
-// under the timing model with an optional TimelineSink attached.
+// under the timing model with an optional TimelineSink and an optional
+// stall-attribution table attached.
 #pragma once
 
 #include <cstddef>
@@ -9,6 +10,7 @@
 #include "layout/microbench.hpp"
 #include "layout/plan.hpp"
 #include "layout/transform.hpp"
+#include "vgpu/attribution.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/timeline.hpp"
 
@@ -17,7 +19,8 @@ namespace telemetry::test {
 inline vgpu::LaunchStats run_read_kernel(vgpu::TimelineSink* sink,
                                          std::uint32_t n = 4096,
                                          std::uint32_t block = 128,
-                                         std::uint32_t threads = 1) {
+                                         std::uint32_t threads = 1,
+                                         vgpu::Attribution* attr = nullptr) {
   const layout::PhysicalLayout phys =
       layout::plan_layout(layout::gravit_record(), layout::SchemeKind::kSoAoaS);
   const vgpu::Program prog = layout::make_read_kernel(phys);
@@ -41,6 +44,7 @@ inline vgpu::LaunchStats run_read_kernel(vgpu::TimelineSink* sink,
   vgpu::TimingOptions topt;
   topt.sink = sink;
   topt.threads = threads;
+  topt.attribution = attr;
   return dev.launch_timed(prog, vgpu::LaunchConfig{n / block, block}, params,
                           topt);
 }

@@ -4,7 +4,7 @@
 // register-capped spill code and the untiled ablation - and demands the
 // attribution contract on each: collecting is cycle-identical, the per-PC
 // sums reconcile exactly with LaunchStats, and the table is bit-identical
-// at 1/2/4 threads and with timed-run batching on or off.
+// at 1/2/4 threads.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -49,12 +49,11 @@ struct FarfieldLaunch {
     cfg = LaunchConfig{n_pad / kopt.block, kopt.block};
   }
 
-  LaunchStats run(Attribution* attr, std::uint32_t threads, bool batched,
+  LaunchStats run(Attribution* attr, std::uint32_t threads,
                   bool reference = false) {
     TimingOptions topt;
     topt.attribution = attr;
     topt.threads = threads;
-    topt.batched = batched;
     topt.reference = reference;
     return dev.launch_timed(built.prog, cfg, params, topt);
   }
@@ -66,9 +65,9 @@ void check_attribution(const gravit::KernelOptions& kopt,
                        const std::string& what) {
   FarfieldLaunch launch(kopt, 512);
 
-  const LaunchStats plain = launch.run(nullptr, 1, true);
+  const LaunchStats plain = launch.run(nullptr, 1);
   Attribution attr;
-  const LaunchStats attributed = launch.run(&attr, 1, true);
+  const LaunchStats attributed = launch.run(&attr, 1);
 
   // Collection observes; it must not perturb a single counter.
   EXPECT_TRUE(attributed.core() == plain.core())
@@ -82,19 +81,14 @@ void check_attribution(const gravit::KernelOptions& kopt,
   EXPECT_GT(attr.total_issues, 0u) << what;
   EXPECT_GT(attr.total_stall_cycles, 0u) << what;
 
-  // Bit-identical table at every thread count and with batching off.
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    for (const bool batched : {true, false}) {
-      if (threads == 1 && batched) continue;  // the reference config
-      Attribution other;
-      const LaunchStats stats = launch.run(&other, threads, batched);
-      EXPECT_TRUE(stats.core() == attributed.core())
-          << what << ": threads=" << threads << " batched=" << batched
-          << " stats diverged";
-      EXPECT_TRUE(other == attr)
-          << what << ": threads=" << threads << " batched=" << batched
-          << " attribution table diverged";
-    }
+  // Bit-identical table at every thread count.
+  for (const std::uint32_t threads : {2u, 4u}) {
+    Attribution other;
+    const LaunchStats stats = launch.run(&other, threads);
+    EXPECT_TRUE(stats.core() == attributed.core())
+        << what << ": threads=" << threads << " stats diverged";
+    EXPECT_TRUE(other == attr)
+        << what << ": threads=" << threads << " attribution table diverged";
   }
 }
 
@@ -139,7 +133,7 @@ TEST(Attribution, ReferencePathLeavesUncollected) {
   FarfieldLaunch launch(kopt, 512);
   Attribution attr;
   attr.collected = true;  // stale state from a previous run must be cleared
-  (void)launch.run(&attr, 1, true, /*reference=*/true);
+  (void)launch.run(&attr, 1, /*reference=*/true);
   EXPECT_FALSE(attr.collected);
   EXPECT_TRUE(attr.pcs.empty());
 }
@@ -151,7 +145,7 @@ TEST(Attribution, RegionMappingMatchesProgram) {
   gravit::KernelOptions kopt;
   FarfieldLaunch launch(kopt, 512);
   Attribution attr;
-  const LaunchStats stats = launch.run(&attr, 1, true);
+  const LaunchStats stats = launch.run(&attr, 1);
   ASSERT_TRUE(attr.collected);
 
   const DecodedProgram dec = decode(launch.built.prog);

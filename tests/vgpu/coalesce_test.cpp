@@ -5,6 +5,7 @@
 
 #include <array>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "vgpu/coalesce.hpp"
@@ -145,15 +146,26 @@ TEST(Cuda11, UncoalescedMergesIntoWholeSegments) {
 
 // ---- property sweeps -----------------------------------------------------------
 
+// CTest names each case after the raw bytes of its parameter, so
+// SweepParam must have no padding: padding bytes are indeterminate and
+// would give the cases different names from build to build. Hence the
+// width is held in 32 bits too.
 struct SweepParam {
   std::uint32_t stride;
-  MemWidth width;
+  std::uint32_t width;  // MemWidth
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no padding bytes");
+
+constexpr SweepParam sweep(std::uint32_t stride, MemWidth width) {
+  return SweepParam{stride, static_cast<std::uint32_t>(width)};
+}
 
 class CoalesceSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(CoalesceSweep, TransactionsCoverEveryActiveAddress) {
-  const auto [stride, width] = GetParam();
+  const std::uint32_t stride = GetParam().stride;
+  const auto width = static_cast<MemWidth>(GetParam().width);
   const std::uint32_t wbytes = width_bytes(width);
   // stride must keep accesses aligned
   const std::uint32_t eff_stride = (stride / wbytes) * wbytes;
@@ -178,7 +190,8 @@ TEST_P(CoalesceSweep, TransactionsCoverEveryActiveAddress) {
 }
 
 TEST_P(CoalesceSweep, SegmentModelsNeverExceedLaneCount) {
-  const auto [stride, width] = GetParam();
+  const std::uint32_t stride = GetParam().stride;
+  const auto width = static_cast<MemWidth>(GetParam().width);
   const std::uint32_t wbytes = width_bytes(width);
   const std::uint32_t eff_stride = (stride / wbytes) * wbytes;
   auto addrs = strided(2048, eff_stride);
@@ -194,12 +207,11 @@ TEST_P(CoalesceSweep, SegmentModelsNeverExceedLaneCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strides, CoalesceSweep,
-    ::testing::Values(SweepParam{4, MemWidth::kW32}, SweepParam{8, MemWidth::kW32},
-                      SweepParam{12, MemWidth::kW32}, SweepParam{28, MemWidth::kW32},
-                      SweepParam{64, MemWidth::kW32}, SweepParam{8, MemWidth::kW64},
-                      SweepParam{16, MemWidth::kW64}, SweepParam{16, MemWidth::kW128},
-                      SweepParam{32, MemWidth::kW128},
-                      SweepParam{48, MemWidth::kW128}));
+    ::testing::Values(sweep(4, MemWidth::kW32), sweep(8, MemWidth::kW32),
+                      sweep(12, MemWidth::kW32), sweep(28, MemWidth::kW32),
+                      sweep(64, MemWidth::kW32), sweep(8, MemWidth::kW64),
+                      sweep(16, MemWidth::kW64), sweep(16, MemWidth::kW128),
+                      sweep(32, MemWidth::kW128), sweep(48, MemWidth::kW128)));
 
 TEST(CoalesceProperty, RandomPatternsAreDeterministicAndCovered) {
   std::mt19937 rng(7);

@@ -37,24 +37,18 @@ struct RunOutput {
 RunOutput run_once(Device& dev, const Program& prog, const LaunchConfig& cfg,
                    std::span<const std::uint32_t> params, DriverModel driver,
                    bool timed, bool reference, Buffer out_buf,
-                   std::size_t out_words, std::uint32_t threads = 1,
-                   bool batched = true,
-                   RunDispatch dispatch = RunDispatch::kThreaded) {
+                   std::size_t out_words, std::uint32_t threads = 1) {
   RunOutput r;
   if (timed) {
     TimingOptions topt;
     topt.driver = driver;
     topt.reference = reference;
     topt.threads = threads;
-    topt.batched = batched;
-    topt.dispatch = dispatch;
     r.stats = dev.launch_timed(prog, cfg, params, topt);
   } else {
     FunctionalOptions fopt;
     fopt.driver = driver;
     fopt.reference = reference;
-    fopt.batched = batched;
-    fopt.dispatch = dispatch;
     r.stats = dev.launch_functional(prog, cfg, params, fopt);
   }
   r.out.resize(out_words);
@@ -78,31 +72,6 @@ void expect_equivalent(Device& dev, const Program& prog,
     EXPECT_TRUE(fast.stats.core() == ref.stats.core())
         << what << ": " << mode << " stats diverged (cycles " << fast.stats.cycles
         << " vs " << ref.stats.cycles << ")";
-    if (!timed) {
-      // Batched straight-line dispatch (the default above) vs single
-      // stepping: memory contents and LaunchStats::core() must both be
-      // bit-identical, on every kernel this suite pins - including the
-      // divergent and barrier-heavy ones where batching must bail out.
-      const RunOutput unbatched =
-          run_once(dev, prog, cfg, params, driver, /*timed=*/false,
-                   /*reference=*/false, out_buf, out_words, 1,
-                   /*batched=*/false);
-      EXPECT_EQ(unbatched.out, fast.out)
-          << what << ": batched vs single-step outputs diverged";
-      EXPECT_TRUE(unbatched.stats.core() == fast.stats.core())
-          << what << ": batched vs single-step stats diverged";
-      // Threaded-code dispatch (the default above) vs the legacy opcode
-      // switch: same batched run boundaries, different dispatch loop; both
-      // must be bit-identical on every kernel this suite pins.
-      const RunOutput sw =
-          run_once(dev, prog, cfg, params, driver, /*timed=*/false,
-                   /*reference=*/false, out_buf, out_words, 1,
-                   /*batched=*/true, RunDispatch::kSwitch);
-      EXPECT_EQ(sw.out, fast.out)
-          << what << ": switch vs threaded dispatch outputs diverged";
-      EXPECT_TRUE(sw.stats.core() == fast.stats.core())
-          << what << ": switch vs threaded dispatch stats diverged";
-    }
     if (timed) {
       EXPECT_GT(fast.stats.cycles, 0u) << what;
       // the fast path must actually be exercising the memo on these kernels
@@ -123,43 +92,6 @@ void expect_equivalent(Device& dev, const Program& prog,
             << what << ": threads=" << threads << " cycles diverged";
         EXPECT_TRUE(par.stats.core() == fast.stats.core())
             << what << ": threads=" << threads << " stats diverged";
-      }
-      // Timed run batching (the default above) vs per-instruction issue:
-      // LaunchStats::core() *including cycles* and memory contents must be
-      // bit-identical at every thread count, on every kernel this suite
-      // pins - including the divergent and barrier-heavy ones where the
-      // batch must keep degenerating to single-instruction issue.
-      for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        const RunOutput off =
-            run_once(dev, prog, cfg, params, driver, /*timed=*/true,
-                     /*reference=*/false, out_buf, out_words, threads,
-                     /*batched=*/false);
-        EXPECT_EQ(off.out, fast.out)
-            << what << ": timed single-step threads=" << threads
-            << " outputs diverged";
-        EXPECT_EQ(off.stats.cycles, fast.stats.cycles)
-            << what << ": timed single-step threads=" << threads
-            << " cycles diverged";
-        EXPECT_TRUE(off.stats.core() == fast.stats.core())
-            << what << ": timed single-step threads=" << threads
-            << " stats diverged";
-      }
-      // Switch dispatch under the timing executor, at every thread count:
-      // cycles and core() must match the threaded-dispatch default exactly.
-      for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        const RunOutput sw =
-            run_once(dev, prog, cfg, params, driver, /*timed=*/true,
-                     /*reference=*/false, out_buf, out_words, threads,
-                     /*batched=*/true, RunDispatch::kSwitch);
-        EXPECT_EQ(sw.out, fast.out)
-            << what << ": timed switch dispatch threads=" << threads
-            << " outputs diverged";
-        EXPECT_EQ(sw.stats.cycles, fast.stats.cycles)
-            << what << ": timed switch dispatch threads=" << threads
-            << " cycles diverged";
-        EXPECT_TRUE(sw.stats.core() == fast.stats.core())
-            << what << ": timed switch dispatch threads=" << threads
-            << " stats diverged";
       }
     }
   }
@@ -339,8 +271,9 @@ TEST(FastPathEquivalence, ConstantMemoryKernel) {
 
 TEST(FastPathEquivalence, DivergentKernelBatchedDispatch) {
   // Lanes split three ways on tid bits inside a counted loop, so warps are
-  // almost never fully converged: batched dispatch must keep bailing out to
-  // single stepping and still match it (and the reference) exactly.
+  // almost never fully converged: the functional fast path must keep
+  // bailing out of run dispatch to single stepping and still match the
+  // reference exactly.
   KernelBuilder kb("divergent", 2);
   Val i = kb.iadd(kb.imul(kb.ctaid(), kb.ntid()), kb.tid());
   Val x = kb.ld_global_f32(kb.iadd(kb.param_u32(0), kb.shl(i, 2)));

@@ -11,16 +11,25 @@
 // models, demanding bit-identical memory results and identical
 // LaunchStats::core() - cycles included in timing mode. Timed runs are
 // also checked against the serial driver's recorded results
-// (serial_golden.hpp).
+// (serial_golden.hpp). Two more axes pit the fast paths' dispatch
+// machinery against each other: whole-run threaded dispatch (functional)
+// against per-instruction issue (timed), and superblock traces against
+// the plain threaded loops they were compiled from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "vgpu/builder.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/opt.hpp"
+#include "vgpu/progcache.hpp"
 #include "vgpu/regalloc.hpp"
+#include "vgpu/threaded.hpp"
+#include "vgpu/traces.hpp"
 #include "vgpu/verify.hpp"
 #include "serial_golden.hpp"
 
@@ -166,9 +175,7 @@ struct DiffRun {
 
 DiffRun run_diff(const Program& prog, DriverModel driver, bool timed,
                  bool reference, std::uint32_t threads = 1,
-                 bool batched = true, Attribution* attr = nullptr,
-                 RunDispatch dispatch = RunDispatch::kThreaded,
-                 bool specialized = true) {
+                 Attribution* attr = nullptr) {
   const std::uint32_t n = 128;
   Device dev(tiny_spec(), 1 << 20);
   std::vector<float> input(4096);
@@ -185,24 +192,41 @@ DiffRun run_diff(const Program& prog, DriverModel driver, bool timed,
     topt.driver = driver;
     topt.reference = reference;
     topt.threads = threads;
-    topt.batched = batched;
     topt.attribution = attr;
-    topt.dispatch = dispatch;
-    topt.specialized = specialized;
     r.stats = dev.launch_timed(prog, cfg, params, topt);
     r.digests = golden::digests(r.stats, dev.gmem());
   } else {
     FunctionalOptions fopt;
     fopt.driver = driver;
     fopt.reference = reference;
-    fopt.batched = batched;
-    fopt.dispatch = dispatch;
-    fopt.specialized = specialized;
     r.stats = dev.launch_functional(prog, cfg, params, fopt);
   }
   r.out.resize(n);
   dev.download<std::uint32_t>(r.out, bout);
   return r;
+}
+
+/// The LaunchStats counters both executors keep - instruction and memory
+/// traffic accounting - with every timing-only field left at its default.
+LaunchStats work_counters(const LaunchStats& s) {
+  LaunchStats w;
+  w.warp_instructions = s.warp_instructions;
+  w.region_instructions = s.region_instructions;
+  w.instr_class_counts = s.instr_class_counts;
+  w.divergent_branches = s.divergent_branches;
+  w.global_requests = s.global_requests;
+  w.global_transactions = s.global_transactions;
+  w.global_bytes = s.global_bytes;
+  w.coalesced_requests = s.coalesced_requests;
+  w.uncoalesced_requests = s.uncoalesced_requests;
+  w.shared_requests = s.shared_requests;
+  w.shared_conflict_extra = s.shared_conflict_extra;
+  w.local_requests = s.local_requests;
+  w.const_requests = s.const_requests;
+  w.tex_requests = s.tex_requests;
+  w.barriers = s.barriers;
+  w.blocks_total = s.blocks_total;
+  return w;
 }
 
 class FuzzSeed : public ::testing::TestWithParam<std::uint32_t> {};
@@ -269,13 +293,6 @@ TEST_P(FuzzSeed, FastPathMatchesReferenceExecutor) {
           << "functional outputs diverged, driver " << to_string(driver);
       EXPECT_TRUE(fast.stats.core() == ref.stats.core())
           << "functional stats diverged, driver " << to_string(driver);
-      // batched straight-line dispatch vs single stepping, same invariant
-      const DiffRun single =
-          run_diff(p, driver, /*timed=*/false, false, 1, /*batched=*/false);
-      EXPECT_EQ(single.out, fast.out)
-          << "batched outputs diverged, driver " << to_string(driver);
-      EXPECT_TRUE(single.stats.core() == fast.stats.core())
-          << "batched stats diverged, driver " << to_string(driver);
     }
     {
       const DiffRun ref = run_diff(p, driver, /*timed=*/true, true);
@@ -286,67 +303,15 @@ TEST_P(FuzzSeed, FastPathMatchesReferenceExecutor) {
           << "cycle count diverged, driver " << to_string(driver);
       EXPECT_TRUE(fast.stats.core() == ref.stats.core())
           << "timed stats diverged, driver " << to_string(driver);
-      // timed run batching vs per-instruction issue, same invariant -
-      // cycles included
-      const DiffRun single =
-          run_diff(p, driver, /*timed=*/true, false, 1, /*batched=*/false);
-      EXPECT_EQ(single.out, fast.out)
-          << "timed batched outputs diverged, driver " << to_string(driver);
-      EXPECT_EQ(single.stats.cycles, fast.stats.cycles)
-          << "timed batched cycles diverged, driver " << to_string(driver);
-      EXPECT_TRUE(single.stats.core() == fast.stats.core())
-          << "timed batched stats diverged, driver " << to_string(driver);
-    }
-  }
-}
-
-// Fifth differential axis: run dispatch. The threaded-code backend
-// (RunDispatch::kThreaded, the default everywhere above) and the legacy
-// per-instruction opcode switch must be bit-identical for every seed and
-// driver - memory contents and LaunchStats::core(), cycles included in
-// timing mode, at 1/2/4 timing threads.
-TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
-  RandomKernelGen gen(GetParam());
-  Program p = gen.generate();
-  run_standard_pipeline(p);
-  allocate_registers(p);
-  verify(p);
-
-  for (const DriverModel driver :
-       {DriverModel::kCuda10, DriverModel::kCuda11, DriverModel::kCuda22}) {
-    {
-      const DiffRun th = run_diff(p, driver, /*timed=*/false, false);
-      const DiffRun sw = run_diff(p, driver, /*timed=*/false, false, 1, true,
-                                  nullptr, RunDispatch::kSwitch);
-      EXPECT_EQ(sw.out, th.out)
-          << "functional dispatch outputs diverged, driver "
-          << to_string(driver);
-      EXPECT_TRUE(sw.stats.core() == th.stats.core())
-          << "functional dispatch stats diverged, driver "
-          << to_string(driver);
-    }
-    const DiffRun th = run_diff(p, driver, /*timed=*/true, false);
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      const DiffRun sw = run_diff(p, driver, /*timed=*/true, false, threads,
-                                  true, nullptr, RunDispatch::kSwitch);
-      EXPECT_EQ(sw.out, th.out)
-          << "timed dispatch outputs diverged, driver " << to_string(driver)
-          << ", threads " << threads;
-      EXPECT_EQ(sw.stats.cycles, th.stats.cycles)
-          << "timed dispatch cycles diverged, driver " << to_string(driver)
-          << ", threads " << threads;
-      EXPECT_TRUE(sw.stats.core() == th.stats.core())
-          << "timed dispatch stats diverged, driver " << to_string(driver)
-          << ", threads " << threads;
     }
   }
 }
 
 // Third differential axis: the timing executor's thread count. At 1, 2
-// and 4 threads, the fast path (batched and single-step) and the reference
-// interpreter must each reproduce the serial driver's recorded run -
-// cycles, every LaunchStats::core() field and device memory - for every
-// seed and driver model.
+// and 4 threads, the fast path and the reference interpreter must each
+// reproduce the serial driver's recorded run - cycles, every
+// LaunchStats::core() field and device memory - for every seed and driver
+// model.
 TEST_P(FuzzSeed, ThreadedTimingMatchesSingleThreaded) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -357,18 +322,15 @@ TEST_P(FuzzSeed, ThreadedTimingMatchesSingleThreaded) {
   struct Mode {
     const char* name;
     bool reference;
-    bool batched;
   };
   for (const DriverModel driver :
        {DriverModel::kCuda10, DriverModel::kCuda11, DriverModel::kCuda22}) {
     const golden::Digests* want = golden::fuzz_record(GetParam(), driver);
     ASSERT_NE(want, nullptr) << "no serial record, driver " << to_string(driver);
     for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      for (const Mode m : {Mode{"fast", false, true},
-                           Mode{"fast single-step", false, false},
-                           Mode{"reference", true, true}}) {
-        const DiffRun r = run_diff(p, driver, /*timed=*/true, m.reference,
-                                   threads, m.batched);
+      for (const Mode m : {Mode{"fast", false}, Mode{"reference", true}}) {
+        const DiffRun r =
+            run_diff(p, driver, /*timed=*/true, m.reference, threads);
         EXPECT_EQ(r.digests, *want)
             << m.name << " run left the serial record, driver "
             << to_string(driver) << ", threads " << threads;
@@ -380,7 +342,7 @@ TEST_P(FuzzSeed, ThreadedTimingMatchesSingleThreaded) {
 // Fourth differential axis: stall attribution. For every seed and driver
 // the per-PC table must (a) not perturb a single simulated counter, (b)
 // reconcile exactly with the LaunchStats aggregates, and (c) come out
-// bit-identical at 1/2/4 threads and with timed-run batching on or off.
+// bit-identical at 1/2/4 threads.
 TEST_P(FuzzSeed, AttributionReconcilesAcrossConfigs) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -393,43 +355,37 @@ TEST_P(FuzzSeed, AttributionReconcilesAcrossConfigs) {
     const DiffRun plain = run_diff(p, driver, /*timed=*/true, false);
     Attribution base;
     const DiffRun first =
-        run_diff(p, driver, /*timed=*/true, false, 1, true, &base);
+        run_diff(p, driver, /*timed=*/true, false, 1, &base);
     EXPECT_TRUE(first.stats.core() == plain.stats.core())
         << "attribution perturbed the run, driver " << to_string(driver);
     ASSERT_TRUE(base.collected) << to_string(driver);
     EXPECT_TRUE(reconciles(base, first.stats))
         << "attribution does not reconcile, driver " << to_string(driver);
 
-    struct Cfg {
-      std::uint32_t threads;
-      bool batched;
-    };
-    for (const Cfg c : {Cfg{1, false}, Cfg{2, true}, Cfg{2, false},
-                        Cfg{4, true}, Cfg{4, false}}) {
+    for (const std::uint32_t threads : {2u, 4u}) {
       Attribution other;
       const DiffRun r =
-          run_diff(p, driver, /*timed=*/true, false, c.threads, c.batched,
-                   &other);
+          run_diff(p, driver, /*timed=*/true, false, threads, &other);
       EXPECT_TRUE(r.stats.core() == first.stats.core())
           << "stats diverged, driver " << to_string(driver)
-          << " threads=" << c.threads << " batched=" << c.batched;
+          << " threads=" << threads;
       EXPECT_TRUE(reconciles(other, r.stats))
           << "attribution does not reconcile, driver " << to_string(driver)
-          << " threads=" << c.threads << " batched=" << c.batched;
+          << " threads=" << threads;
       EXPECT_TRUE(other == base)
           << "attribution table diverged, driver " << to_string(driver)
-          << " threads=" << c.threads << " batched=" << c.batched;
+          << " threads=" << threads;
     }
   }
 }
 
-// Sixth differential axis: specialized run execution. Trace-compiled
-// superblocks, boundary-step fusion, and the ready-heap pick loop
-// (FunctionalOptions/TimingOptions `specialized`, the default everywhere
-// above) must be bit-identical to the plain run machinery for every seed
-// and driver - memory contents and LaunchStats::core(), cycles included in
-// timing mode, at 1/2/4 timing threads.
-TEST_P(FuzzSeed, SpecializedMatchesPlain) {
+// Fifth differential axis: run dispatch. The functional fast path executes
+// every converged straight-line run in one dispatch - a superblock trace or
+// the threaded-code loop - while the timed fast path issues the same
+// decoded instructions one at a time through exec_alu's opcode switch. For
+// every seed and driver both must leave bit-identical memory and count the
+// same instructions and memory traffic, at 1/2/4 timing threads.
+TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
   run_standard_pipeline(p);
@@ -438,34 +394,81 @@ TEST_P(FuzzSeed, SpecializedMatchesPlain) {
 
   for (const DriverModel driver :
        {DriverModel::kCuda10, DriverModel::kCuda11, DriverModel::kCuda22}) {
-    {
-      const DiffRun on = run_diff(p, driver, /*timed=*/false, false);
-      const DiffRun off =
-          run_diff(p, driver, /*timed=*/false, false, 1, true, nullptr,
-                   RunDispatch::kThreaded, /*specialized=*/false);
-      EXPECT_EQ(off.out, on.out)
-          << "functional specialized outputs diverged, driver "
-          << to_string(driver);
-      EXPECT_TRUE(off.stats.core() == on.stats.core())
-          << "functional specialized stats diverged, driver "
-          << to_string(driver);
-    }
-    const DiffRun on = run_diff(p, driver, /*timed=*/true, false);
+    const DiffRun th = run_diff(p, driver, /*timed=*/false, false);
+    EXPECT_GT(th.stats.traces_entered, 0u)
+        << "functional run dispatched no trace, driver " << to_string(driver);
     for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      const DiffRun off =
-          run_diff(p, driver, /*timed=*/true, false, threads, true, nullptr,
-                   RunDispatch::kThreaded, /*specialized=*/false);
-      EXPECT_EQ(off.out, on.out)
-          << "timed specialized outputs diverged, driver "
-          << to_string(driver) << ", threads " << threads;
-      EXPECT_EQ(off.stats.cycles, on.stats.cycles)
-          << "timed specialized cycles diverged, driver "
-          << to_string(driver) << ", threads " << threads;
-      EXPECT_TRUE(off.stats.core() == on.stats.core())
-          << "timed specialized stats diverged, driver " << to_string(driver)
+      const DiffRun sw = run_diff(p, driver, /*timed=*/true, false, threads);
+      EXPECT_EQ(sw.stats.traces_entered, 0u)
+          << "timed run dispatched a trace, driver " << to_string(driver)
+          << ", threads " << threads;
+      EXPECT_EQ(sw.out, th.out)
+          << "dispatch outputs diverged, driver " << to_string(driver)
+          << ", threads " << threads;
+      EXPECT_TRUE(work_counters(sw.stats) == work_counters(th.stats))
+          << "dispatch counters diverged, driver " << to_string(driver)
           << ", threads " << threads;
     }
   }
+}
+
+// Sixth differential axis: specialized run execution. Every superblock
+// trace compiled for the seed's program (traces.hpp: uniform and FMA-pair
+// segments) must leave a warp's registers bit-identical to the plain
+// threaded loops over the run it was compiled from - the computed-goto
+// loop and its portable switch twin - from the same register contents.
+TEST_P(FuzzSeed, SpecializedMatchesPlain) {
+  RandomKernelGen gen(GetParam());
+  Program p = gen.generate();
+  run_standard_pipeline(p);
+  allocate_registers(p);
+  verify(p);
+
+  const std::shared_ptr<const CompiledKernel> ck =
+      acquire_compiled(p, /*use_cache=*/false);
+  const DecodedProgram& dec = ck->decoded();
+  const TraceProgram& traces = ck->traces();
+  const ThreadedOp* const ops = ck->threaded().ops.data();
+  ASSERT_EQ(traces.trace_at.size(), dec.instrs.size());
+
+  // lane contents like a launch's: finite floats and small integers
+  std::mt19937 rng(GetParam());
+  std::uniform_real_distribution<float> fdist(-8.0f, 8.0f);
+  std::vector<std::uint32_t> regs(std::size_t{p.reg_file_size} * 32u);
+  for (std::uint32_t& v : regs) {
+    v = rng() % 2 == 0 ? std::bit_cast<std::uint32_t>(fdist(rng))
+                       : static_cast<std::uint32_t>(rng() % 4096);
+  }
+  std::vector<std::uint32_t> preds(std::max(p.num_preds, 1u));
+  for (std::uint32_t& m : preds) m = static_cast<std::uint32_t>(rng());
+  const std::uint32_t params[2] = {0x1000u, 0x9000u};
+  ThreadedCtx ctx;
+  ctx.params = params;
+  ctx.block_id = 1;
+  ctx.block_threads = 64;
+  ctx.grid_blocks = 2;
+  ctx.warp_index = 1;
+  ctx.base_thread = 32;
+
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < traces.trace_at.size(); ++i) {
+    const std::uint32_t t = traces.trace_at[i];
+    if (t == kNoTrace) continue;
+    const std::uint32_t len = dec.runs[i].len;
+    std::vector<std::uint32_t> via_trace = regs;
+    std::vector<std::uint32_t> via_goto = regs;
+    std::vector<std::uint32_t> via_switch = regs;
+    exec_trace(traces, t, via_trace.data(), preds.data(), ctx);
+    exec_threaded(ops + i, len, via_goto.data(), preds.data(), ctx);
+    exec_threaded_portable(ops + i, len, via_switch.data(), preds.data(),
+                           ctx);
+    EXPECT_EQ(via_trace, via_goto)
+        << "trace " << t << " at instr " << i << " left the threaded loop";
+    EXPECT_EQ(via_switch, via_goto)
+        << "portable loop diverged on the run at instr " << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no trace compiled for the seed's program";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,

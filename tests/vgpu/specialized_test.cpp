@@ -1,32 +1,24 @@
-// Specialized run execution: boundary-step fusion parity on the pinned
-// application kernels, low-occupancy witnesses that the *timed* fusion
-// fall-through actually fires, and the trace-cache keying/invalidation
-// contract.
+// Specialized run execution of the functional fast path - superblock
+// traces and boundary-step fusion - on the pinned application kernels, and
+// the trace-cache keying/invalidation contract.
 //
-// The fuzz suite (FuzzSeed.SpecializedMatchesPlain) sweeps random kernels;
-// here the paper's real kernel variants - rolled barrier-heavy shared
-// tiling, unrolled + icm, the register-capped spill kernel, texture
-// fetches, and the untiled global-read ablation - pin the parity on every
-// memory subsystem a run can terminate with. The application kernels keep
-// their SMs saturated (another warp is always ready at a run boundary), so
-// timed fusion never fires on them; the low-occupancy single-warp kernels
-// below prove that it fires on a shared-store and on a global-store
-// boundary, at every thread count, and stays exact.
+// The paper's real kernel variants - rolled barrier-heavy shared tiling,
+// unrolled + icm, the register-capped spill kernel, texture fetches, and
+// the untiled global-read ablation - pin fast-vs-reference parity on every
+// memory subsystem a run can terminate with, and witness that the
+// functional fast path actually enters traces and fuses boundary ops on
+// each of them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "gravit/kernels.hpp"
 #include "gravit/spawn.hpp"
 #include "layout/transform.hpp"
-#include "vgpu/builder.hpp"
 #include "vgpu/decode.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/opt.hpp"
 #include "vgpu/progcache.hpp"
-#include "vgpu/regalloc.hpp"
 #include "vgpu/traces.hpp"
 
 namespace vgpu {
@@ -62,18 +54,18 @@ class FarfieldHarness {
     cfg_ = LaunchConfig{n_pad_ / block, block};
   }
 
-  KernelRun functional(bool specialized) {
+  KernelRun functional(bool reference) {
     FunctionalOptions fopt;
-    fopt.specialized = specialized;
+    fopt.reference = reference;
     KernelRun r;
     r.stats = dev_.launch_functional(built_.prog, cfg_, params_, fopt);
     download(r);
     return r;
   }
 
-  KernelRun timed(bool specialized, std::uint32_t threads) {
+  KernelRun timed(bool reference, std::uint32_t threads) {
     TimingOptions topt;
-    topt.specialized = specialized;
+    topt.reference = reference;
     topt.threads = threads;
     KernelRun r;
     r.stats = dev_.launch_timed(built_.prog, cfg_, params_, topt);
@@ -95,8 +87,8 @@ class FarfieldHarness {
   LaunchConfig cfg_{};
 };
 
-// Every pinned kernel variant: specialized execution (traces + fusion +
-// ready-heap) must be bit-identical to the plain run machinery - memory and
+// Every pinned kernel variant: the fast path (functional: traces + fusion)
+// must be bit-identical to the reference interpreter - memory and
 // LaunchStats::core(), cycles included in timing mode - and the functional
 // fast path must actually take the specialized path (traces entered,
 // boundary ops fused).
@@ -133,127 +125,29 @@ TEST(BoundaryFusion, ApplicationKernelParity) {
     SCOPED_TRACE(v.name);
     FarfieldHarness h(v.kopt);
 
-    const KernelRun fon = h.functional(true);
-    const KernelRun foff = h.functional(false);
-    EXPECT_EQ(foff.out, fon.out) << "functional memory diverged";
-    EXPECT_TRUE(foff.stats.core() == fon.stats.core())
+    const KernelRun fast = h.functional(false);
+    const KernelRun fref = h.functional(true);
+    EXPECT_EQ(fast.out, fref.out) << "functional memory diverged";
+    EXPECT_TRUE(fast.stats.core() == fref.stats.core())
         << "functional stats diverged";
-    EXPECT_GT(fon.stats.traces_entered, 0u)
-        << "specialized functional run never entered a trace";
-    EXPECT_GT(fon.stats.fused_boundary_ops, 0u)
-        << "specialized functional run never fused a boundary op";
-    EXPECT_EQ(foff.stats.traces_entered, 0u);
-    EXPECT_EQ(foff.stats.fused_boundary_ops, 0u);
+    EXPECT_GT(fast.stats.traces_entered, 0u)
+        << "functional fast path never entered a trace";
+    EXPECT_GT(fast.stats.fused_boundary_ops, 0u)
+        << "functional fast path never fused a boundary op";
+    EXPECT_EQ(fref.stats.traces_entered, 0u);
+    EXPECT_EQ(fref.stats.fused_boundary_ops, 0u);
 
-    const KernelRun ton = h.timed(true, 1);
-    EXPECT_GT(ton.stats.pick_heap_pops, 0u)
-        << "specialized timed run never used the ready heap";
+    const KernelRun tref = h.timed(true, 1);
     for (const std::uint32_t threads : {1u, 2u}) {
-      const KernelRun toff = h.timed(false, threads);
-      EXPECT_EQ(toff.stats.pick_heap_pops, 0u) << "threads=" << threads;
-      EXPECT_EQ(toff.out, ton.out)
+      const KernelRun tfast = h.timed(false, threads);
+      EXPECT_EQ(tfast.out, tref.out)
           << "timed memory diverged, threads=" << threads;
-      EXPECT_EQ(toff.stats.cycles, ton.stats.cycles)
+      EXPECT_EQ(tfast.stats.cycles, tref.stats.cycles)
           << "timed cycles diverged, threads=" << threads;
-      EXPECT_TRUE(toff.stats.core() == ton.stats.core())
+      EXPECT_TRUE(tfast.stats.core() == tref.stats.core())
           << "timed stats diverged, threads=" << threads;
-      const KernelRun ton2 = h.timed(true, threads);
-      EXPECT_EQ(ton2.out, ton.out) << "threads=" << threads;
-      EXPECT_TRUE(ton2.stats.core() == ton.stats.core())
-          << "threads=" << threads;
     }
   }
-}
-
-/// A single-warp, single-block kernel whose long dependent ALU chain ends
-/// at a memory op whose operands were ready early: by the time the run's
-/// last in-run instruction issues, the boundary's dependences have long
-/// retired, no other warp exists to preempt, and the fusion fall-through
-/// must take it. `shared_boundary` routes the store through shared memory;
-/// otherwise it is a plain global store.
-Program make_low_occupancy_kernel(bool shared_boundary) {
-  KernelBuilder kb(shared_boundary ? "lowocc_shared" : "lowocc_global", 2);
-  Val i = kb.iadd(kb.imul(kb.ctaid(), kb.ntid()), kb.tid());
-  Val in_addr = kb.iadd(kb.param_u32(0), kb.shl(i, 2));
-  Val out_addr = kb.iadd(kb.param_u32(1), kb.shl(i, 2));
-  // the boundary op's operands (addresses and the stored value) all become
-  // ready near the top; the dependent ffma chain then walks sm.cycle far
-  // past their ready cycles, so dep_ready_fast() at the run end passes
-  Val saddr = kb.imm_u32(0);
-  if (shared_boundary) {
-    Val sbase = kb.shared_alloc(32 * 4);
-    saddr = kb.iadd(sbase, kb.shl(kb.tid(), 2));
-  }
-  Val x = kb.ld_global_f32(in_addr);
-  Val v = kb.fadd(x, kb.imm_f32(1.5f));
-  Val acc = kb.var_f32(x);
-  for (int k = 0; k < 10; ++k) {
-    kb.assign(acc, kb.ffma(acc, kb.imm_f32(1.0009f), kb.imm_f32(0.125f)));
-  }
-  if (shared_boundary) {
-    kb.st_shared(saddr, v);  // <- run boundary, kShared
-    kb.st_global(out_addr, kb.fadd(kb.ld_shared_f32(saddr), acc));
-  } else {
-    kb.st_global(out_addr, v);  // <- run boundary, kGlobal
-    kb.st_global(out_addr, acc, 4096);
-  }
-  Program prog = std::move(kb).finish();
-  run_standard_pipeline(prog);
-  allocate_registers(prog);
-  return prog;
-}
-
-KernelRun run_low_occupancy(const Program& prog, bool specialized,
-                            std::uint32_t threads) {
-  const std::uint32_t n = 32;  // one warp, one block: nothing to preempt
-  Device dev(g80_spec(), 1 << 20);
-  std::vector<float> input(n * 2);
-  for (std::size_t k = 0; k < input.size(); ++k) {
-    input[k] = 0.25f * static_cast<float>(k) - 3.0f;
-  }
-  Buffer bin = dev.upload<float>(input);
-  Buffer bout = dev.malloc(4096 + n * 4);
-  const std::uint32_t params[2] = {bin.addr, bout.addr};
-  TimingOptions topt;
-  topt.specialized = specialized;
-  topt.threads = threads;
-  KernelRun r;
-  r.stats = dev.launch_timed(prog, LaunchConfig{1, n}, params, topt);
-  r.out.resize((4096 + n * 4) / 4);
-  dev.download<std::uint32_t>(r.out, bout);
-  return r;
-}
-
-// Timed fusion fires on the single-warp kernel: the boundary must fuse at
-// 1, 2 and 4 threads, and the fused run must stay bit-identical to the plain
-// per-instruction issue.
-void expect_timed_fusion_fires(bool shared_boundary) {
-  const Program prog = make_low_occupancy_kernel(shared_boundary);
-  const KernelRun off = run_low_occupancy(prog, false, 1);
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    const KernelRun on = run_low_occupancy(prog, true, threads);
-    EXPECT_GT(on.stats.fused_boundary_ops, 0u)
-        << "timed fusion never fired, threads=" << threads;
-    EXPECT_EQ(on.out, off.out) << "threads=" << threads;
-    EXPECT_EQ(on.stats.cycles, off.stats.cycles) << "threads=" << threads;
-    EXPECT_TRUE(on.stats.core() == off.stats.core()) << "threads=" << threads;
-    const KernelRun off2 = run_low_occupancy(prog, false, threads);
-    EXPECT_EQ(off2.stats.fused_boundary_ops, 0u) << "threads=" << threads;
-    EXPECT_EQ(off2.out, off.out) << "threads=" << threads;
-    EXPECT_TRUE(off2.stats.core() == off.stats.core())
-        << "threads=" << threads;
-  }
-}
-
-// A global-store boundary fuses at every thread count.
-TEST(BoundaryFusion, TimedFusionFiresDeferred) {
-  expect_timed_fusion_fires(/*shared_boundary=*/false);
-}
-
-// A shared-store (SM-local) boundary fuses at every thread count, the
-// serial one-thread run included.
-TEST(BoundaryFusion, TimedFusionFiresSerialShared) {
-  expect_timed_fusion_fires(/*shared_boundary=*/true);
 }
 
 // Trace-cache contract: traces are compiled once per distinct program,

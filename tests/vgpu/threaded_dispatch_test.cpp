@@ -10,10 +10,12 @@
 //     must agree bit for bit (and, for the simple handlers, match values
 //     computed longhand here).
 //  3. The decode cache (progcache.hpp) - hit/miss counters, structural
-//     keying, correctness across parameter changes, and the disabled mode.
+//     keying, correctness across parameter changes, and private
+//     compilation.
 //
-// The executor-level switch-vs-threaded differentials live in
-// fuzz_differential_test.cpp and fastpath_equivalence_test.cpp.
+// The executor-level differentials of the functional fast path, which
+// dispatches runs through these loops, against the reference interpreter
+// live in fuzz_differential_test.cpp and fastpath_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -349,18 +351,14 @@ struct CacheRun {
 };
 
 CacheRun launch_scale(Device& dev, const Program& prog, Buffer bin, Buffer bout,
-                      std::uint32_t n, bool timed, bool use_cache) {
+                      std::uint32_t n, bool timed) {
   CacheRun r;
   const std::uint32_t params[2] = {bin.addr, bout.addr};
   const LaunchConfig cfg{n / 64, 64};
   if (timed) {
-    TimingOptions topt;
-    topt.decode_cache = use_cache;
-    r.stats = dev.launch_timed(prog, cfg, params, topt);
+    r.stats = dev.launch_timed(prog, cfg, params);
   } else {
-    FunctionalOptions fopt;
-    fopt.decode_cache = use_cache;
-    r.stats = dev.launch_functional(prog, cfg, params, fopt);
+    r.stats = dev.launch_functional(prog, cfg, params);
   }
   r.out.resize(n);
   dev.download<std::uint32_t>(r.out, bout);
@@ -381,21 +379,15 @@ TEST(DecodeCache, LaunchCountersAndRepeatLaunches) {
 
   for (const bool timed : {false, true}) {
     decode_cache_clear();
-    const CacheRun first = launch_scale(dev, prog, bin, bout, n, timed, true);
+    const CacheRun first = launch_scale(dev, prog, bin, bout, n, timed);
     EXPECT_EQ(first.stats.decode_cache_hits, 0u);
     EXPECT_EQ(first.stats.decode_cache_misses, 1u);
-    const CacheRun second = launch_scale(dev, prog, bin, bout, n, timed, true);
+    const CacheRun second = launch_scale(dev, prog, bin, bout, n, timed);
     EXPECT_EQ(second.stats.decode_cache_hits, 1u);
     EXPECT_EQ(second.stats.decode_cache_misses, 0u);
     // identical results and counters (cache bookkeeping excluded via core())
     EXPECT_EQ(second.out, first.out);
     EXPECT_TRUE(second.stats.core() == first.stats.core());
-    // cache off: no counters move, result still identical
-    const CacheRun off = launch_scale(dev, prog, bin, bout, n, timed, false);
-    EXPECT_EQ(off.stats.decode_cache_hits, 0u);
-    EXPECT_EQ(off.stats.decode_cache_misses, 0u);
-    EXPECT_EQ(off.out, first.out);
-    EXPECT_TRUE(off.stats.core() == first.stats.core());
   }
 }
 
@@ -415,9 +407,9 @@ TEST(DecodeCache, CachedKernelServesChangedParameters) {
   Buffer out2 = dev.malloc_n<float>(n);
 
   // warm the cache writing to out1, then relaunch aimed at out2
-  const CacheRun warm = launch_scale(dev, prog, bin, out1, n, false, true);
+  const CacheRun warm = launch_scale(dev, prog, bin, out1, n, false);
   EXPECT_EQ(warm.stats.decode_cache_misses, 1u);
-  const CacheRun moved = launch_scale(dev, prog, bin, out2, n, false, true);
+  const CacheRun moved = launch_scale(dev, prog, bin, out2, n, false);
   EXPECT_EQ(moved.stats.decode_cache_hits, 1u);
   EXPECT_EQ(moved.out, warm.out) << "cached relaunch with a different "
                                     "parameter block produced different data";

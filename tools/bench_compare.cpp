@@ -1,8 +1,9 @@
 // bench_compare - diff two bench --json records.
 //
 // Compares a candidate record against a baseline record (both written by
-// bench_util's --json export) table by table, matching tables by title and
-// rows by their first cell. Two column classes are enforced:
+// bench_util's --json export) table by table, matching tables by title,
+// rows by their first cell and columns by header. Two column classes are
+// enforced:
 //
 //   * headers containing "cycles" are simulator *results* and must match
 //     exactly - any drift means the model (or the fast path's
@@ -16,8 +17,9 @@
 // percent two-sided (default 10) - the candidate is an approximation of
 // the baseline, so being "faster" is just as wrong as being slower.
 //
-// Other columns are informational and ignored. Rows or tables present in
-// the baseline but missing from the candidate fail the comparison. Exit
+// Other columns are informational and ignored. Rows, columns or tables
+// present in the baseline but missing from the candidate fail the
+// comparison. Exit
 // code 0 = within tolerance, 1 = drift/regression/missing data, 2 = usage
 // or unreadable input.
 //
@@ -174,6 +176,27 @@ struct Compare {
     const JsonValue* headers = base_t.find("headers");
     const JsonValue* rows = base_t.find("rows");
     if (headers == nullptr || rows == nullptr || !rows->is_array()) return;
+    // Columns match by header, so a candidate that drops or reorders
+    // columns is still compared like with like; a baseline column the
+    // candidate lacks fails once. Cells past the headers (ragged rows)
+    // match by position.
+    const JsonValue* cand_headers = cand_t->find("headers");
+    constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> col(headers->size(), kMissing);
+    for (std::size_t c = 1; c < headers->size(); ++c) {
+      const std::string h = cell(*headers, c);
+      for (std::size_t k = 0; cand_headers != nullptr && k < cand_headers->size();
+           ++k) {
+        if (cell(*cand_headers, k) == h) {
+          col[c] = k;
+          break;
+        }
+      }
+      if (col[c] == kMissing) {
+        fail("column \"" + h + "\" missing from candidate table \"" + title +
+             "\"");
+      }
+    }
     for (const JsonValue& row : rows->items()) {
       if (!row.is_array() || row.size() == 0) continue;
       const std::string key = cell(row, 0);
@@ -184,10 +207,15 @@ struct Compare {
         continue;
       }
       for (std::size_t c = 1; c < row.size(); ++c) {
-        const std::string header =
-            c < headers->size() ? cell(*headers, c) : "";
+        std::string header;
+        std::size_t k = c;
+        if (c < headers->size()) {
+          if (col[c] == kMissing) continue;
+          header = cell(*headers, c);
+          k = col[c];
+        }
         compare_cell("\"" + title + "\" / \"" + key + "\"", header, key,
-                     cell(row, c), cell(*cand_row, c));
+                     cell(row, c), cell(*cand_row, k));
       }
     }
   }

@@ -2,7 +2,7 @@
 //
 // Parses the file with the same strict parser the tests use and optionally
 // requires object keys to be present. A required key may be a dotted path
-// ("stats.timed_runs_issued") which descends through nested objects. A path
+// ("stats.decode_cache_hits") which descends through nested objects. A path
 // may also carry an assertion:
 //
 //   path          key must exist (any value)
