@@ -75,6 +75,8 @@ void BlockExec::reset(const BlockParams& bp) {
   std::fill(pred_arena_.begin(), pred_arena_.end(), 0u);
   std::fill(local_arena_.begin(), local_arena_.end(), 0u);
   for (WarpState& ws : warps_) {
+    VGPU_EXPECTS_MSG(ws.pending_len == 0,
+                     "reset with a pending timing-only range");
     ws.block = 0;
     ws.ip = 0;
     ws.active = kFullMask;
@@ -567,7 +569,20 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
   WarpState& ws = warps_[w];
   VGPU_EXPECTS_MSG(!ws.done, "stepping a finished warp");
   VGPU_EXPECTS_MSG(!ws.at_barrier, "stepping a warp parked at a barrier");
-  const DecodedInstr& d = dec_->at(ws.block, ws.ip);
+  const std::uint32_t pc = dec_->block_start[ws.block] + ws.ip;
+  // Run instructions issued for timing only (issue_timing_only) execute
+  // before this step - the run's terminator - so no step reads a register
+  // whose write is still pending.
+  VGPU_EXPECTS_MSG(
+      ws.pending_len == 0 || ws.pending_first + ws.pending_len == pc,
+      "a warp with a pending range must step the instruction after it");
+  if (ws.pending_len != 0) {
+    VGPU_EXPECTS_MSG(ws.pending_len == dec_->runs[ws.pending_first].len,
+                     "a pending range must end at its run's end");
+    exec_run(ws, ws.pending_first, ws.pending_len);
+    ws.pending_len = 0;
+  }
+  const DecodedInstr& d = dec_->instrs[pc];
 
   StepResult res;
   res.kind = d.kind;
@@ -832,13 +847,51 @@ const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
   WarpState& ws = warps_[w];
   if (ws.done || ws.at_barrier) return nullptr;
   if ((ws.active & full_mask_) != full_mask_) return nullptr;
-  const std::size_t first = dec_->block_start[ws.block] + ws.ip;
+  const std::uint32_t first = dec_->block_start[ws.block] + ws.ip;
   const DecodedRun& run = dec_->runs[first];
   if (run.len == 0) return nullptr;
-  // Compiled dispatch: pre-resolved operand rows, dense handlers, one
-  // indirect jump per instruction (threaded.cpp) - or, for a run starting
-  // at a compiled trace head, one jump per trace *segment* (traces.cpp).
-  // Both are bit-identical to stepping the run through exec_alu.
+  exec_run(ws, first, run.len);
+  ws.ip += run.len;
+  ws.issued += run.len;
+  // Boundary-step fusion: a fusable terminating memory op executes in the
+  // same dispatch. Ordering matches the separate step() call exactly: the
+  // terminator sees the run's register writes, `issued` counts it after
+  // the run.
+  if (run.fuse_boundary) {
+    ++ws.issued;
+    exec_boundary(dec_->instrs[first + run.len], ws, fused);
+    ++ws.ip;
+    fused_done = true;
+  }
+  return &run;
+}
+
+// Issue without execution: see the header. The run instructions' values
+// land in step_fast, before the warp's next instruction - the run's
+// terminator - executes; until then only the timing model sees the issue.
+const DecodedInstr* BlockExec::issue_timing_only(std::uint32_t w) {
+  if (threaded_ == nullptr) return nullptr;
+  WarpState& ws = warps_[w];
+  VGPU_EXPECTS_MSG(!ws.done && !ws.at_barrier,
+                   "issuing a finished or parked warp");
+  if ((ws.active & full_mask_) != full_mask_) return nullptr;
+  const std::uint32_t pc = dec_->block_start[ws.block] + ws.ip;
+  if (dec_->runs[pc].len == 0) return nullptr;
+  if (ws.pending_len == 0) ws.pending_first = pc;
+  VGPU_EXPECTS_MSG(ws.pending_first + ws.pending_len == pc,
+                   "a timing-only issue must extend the pending range");
+  ++ws.pending_len;
+  ++ws.ip;
+  ++ws.issued;
+  return &dec_->instrs[pc];
+}
+
+// Compiled dispatch: pre-resolved operand rows, dense handlers, one indirect
+// jump per instruction (threaded.cpp) - or, for a run starting at a compiled
+// trace head, one jump per trace *segment* (traces.cpp). Both are
+// bit-identical to stepping the run through exec_alu.
+void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
+                         std::uint32_t len) {
   ThreadedCtx ctx;
   ctx.params = bp_.params.data();
   ctx.block_id = bp_.block_id;
@@ -853,22 +906,8 @@ const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
     exec_trace(*traces_, tr, ws.regs, ws.preds, ctx);
     ++*trace_hits_;
   } else {
-    exec_threaded(threaded_->ops.data() + first, run.len, ws.regs, ws.preds,
-                  ctx);
+    exec_threaded(threaded_->ops.data() + first, len, ws.regs, ws.preds, ctx);
   }
-  ws.ip += run.len;
-  ws.issued += run.len;
-  // Boundary-step fusion: a fusable terminating memory op executes in the
-  // same dispatch. Ordering matches the separate step() call exactly: the
-  // terminator sees the run's register writes, `issued` counts it after
-  // the run.
-  if (run.fuse_boundary) {
-    ++ws.issued;
-    exec_boundary(dec_->instrs[first + run.len], ws, fused);
-    ++ws.ip;
-    fused_done = true;
-  }
-  return &run;
 }
 
 // The memory cases of step_fast, specialized for the boundary-fusion

@@ -64,6 +64,12 @@ struct WarpState {
   std::uint64_t ready_cycle = 0;  ///< used by the timing executor
   std::uint64_t issued = 0;       ///< dynamic warp instructions
 
+  /// Run instructions issued for timing only (BlockExec::issue_timing_only)
+  /// whose values have not executed yet: `pending_len` decoded instructions
+  /// from `pending_first`. Always empty outside the timing executor.
+  std::uint32_t pending_first = 0;
+  std::uint32_t pending_len = 0;
+
   /// Lane storage: regs[slot * 32 + lane]; slot = Program::reg_base + comp.
   /// Points into the BlockExec-owned per-block arena.
   std::uint32_t* regs = nullptr;
@@ -125,17 +131,36 @@ class BlockExec {
 
   /// Execute the current instruction of warp `w`. `now` feeds the kClock
   /// probe (simulated cycle in timing mode, pseudo-time in functional mode).
+  /// On the fast path the warp's pending range (issue_timing_only) executes
+  /// first, so no step reads a register whose write is still pending.
   StepResult step(std::uint32_t w, std::uint64_t now);
 
-  /// Batched dispatch: when warp `w` is fully converged and sits at the
-  /// start of a non-empty straight-line run (DecodedRun), execute the whole
-  /// run in one call and return its pre-aggregated accounting; returns
-  /// nullptr when batching does not apply (no run programs installed, warp
-  /// done or at a barrier, divergent mask, or a zero-length run) and the
-  /// caller must fall back to step(). Runs contain no clock reads, no memory
-  /// accesses and no control flow, so no `now` is needed and no StepResult
-  /// is produced; `issued` and `ip` advance by the run length, keeping the
-  /// functional executor's pseudo-time identical to single stepping.
+  /// Timing-only issue (the timing executor's fast path): when warp `w` is
+  /// fully converged and its current instruction lies inside a straight-line
+  /// run (DecodedRun), advance `ip` and `issued` past it without executing
+  /// it, append it to the warp's pending range and return its decoded form
+  /// for pricing. Returns nullptr - nothing changed, the caller must step()
+  /// - when no run programs are installed, the mask is divergent, or the
+  /// instruction is not in a run.
+  ///
+  /// A run touches no memory and writes no predicate, and a warp's mask
+  /// changes only at branches, so a warp converged at a run instruction was
+  /// converged at the run's head and issues the whole run this way. Its
+  /// values are first read by the warp's own next step() - the run's
+  /// terminator - which executes the pending range first, once, through the
+  /// same compiled programs as step_run.
+  const DecodedInstr* issue_timing_only(std::uint32_t w);
+
+  /// Batched dispatch (the functional executor's fast path): when warp `w`
+  /// is fully converged and sits at the start of a non-empty straight-line
+  /// run (DecodedRun), execute the whole run in one call and return its
+  /// pre-aggregated accounting; returns nullptr when batching does not
+  /// apply (no run programs installed, warp done or at a barrier, divergent
+  /// mask, or a zero-length run) and the caller must fall back to step().
+  /// Runs contain no clock reads, no memory accesses and no control flow,
+  /// so no `now` is needed and no StepResult is produced; `issued` and `ip`
+  /// advance by the run length, keeping the functional executor's
+  /// pseudo-time identical to single stepping.
   ///
   /// Boundary-step fusion: when the run's terminator is a fusable memory
   /// op (DecodedRun::fuse_boundary), the terminator executes in the same
@@ -146,13 +171,14 @@ class BlockExec {
   const DecodedRun* step_run(std::uint32_t w, StepResult& fused,
                              bool& fused_done);
 
-  /// Install the compiled programs step_run dispatches through: the
-  /// threaded-code stream (threaded.hpp) and its superblock traces
-  /// (traces.hpp), both built from the DecodedProgram this BlockExec was
-  /// constructed with. Runs starting at a trace head execute through
-  /// exec_trace, incrementing `*entered` per call (the `traces_entered`
-  /// stat); every other run goes through the threaded loop. Both are
-  /// bit-identical to single stepping in every architectural effect.
+  /// Install the compiled programs whole runs dispatch through - step_run's
+  /// runs and the pending ranges of issue_timing_only: the threaded-code
+  /// stream (threaded.hpp) and its superblock traces (traces.hpp), both
+  /// built from the DecodedProgram this BlockExec was constructed with.
+  /// Runs starting at a trace head execute through exec_trace, incrementing
+  /// `*entered` per call (the `traces_entered` stat); every other run goes
+  /// through the threaded loop. Both are bit-identical to single stepping in
+  /// every architectural effect.
   void set_run_programs(const ThreadedProgram& tp, const TraceProgram& traces,
                         std::uint64_t* entered) {
     threaded_ = &tp;
@@ -197,6 +223,10 @@ class BlockExec {
   /// guard evaluation and convergence test specialized away, writing into a
   /// caller-owned StepResult. Effects are exactly step_fast's.
   void exec_boundary(const DecodedInstr& d, WarpState& ws, StepResult& out);
+  /// Execute `len` decoded instructions from `first` on a converged warp
+  /// through the installed run programs: the superblock trace at a trace
+  /// head, else the threaded loop.
+  void exec_run(WarpState& ws, std::uint32_t first, std::uint32_t len);
   /// Architectural effects of one decoded register-ALU instruction (the
   /// batchable subset plus the clock/special reads step_fast routes here).
   void exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,

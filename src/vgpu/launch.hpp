@@ -84,10 +84,10 @@ struct LaunchStats {
   /// populated by a fresh decode + threaded compile.
   std::uint64_t decode_cache_hits = 0;
   std::uint64_t decode_cache_misses = 0;
-  /// Functional fast-path totals (zero on the reference path and in the
-  /// timing executor): converged runs dispatched through a compiled
-  /// superblock trace (traces.hpp), and boundary memory steps executed
-  /// fused into the run dispatch that preceded them.
+  /// Fast-path run totals (zero on the reference path): converged runs
+  /// dispatched through a compiled superblock trace (traces.hpp), by either
+  /// executor, and boundary memory steps executed fused into the run
+  /// dispatch that preceded them (functional executor only).
   std::uint64_t traces_entered = 0;
   std::uint64_t fused_boundary_ops = 0;
   std::uint64_t pick_heap_pops = 0;  ///< retired, always zero (see above)

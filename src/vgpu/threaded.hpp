@@ -1,11 +1,13 @@
 // threaded.hpp - threaded-code execution of decoded straight-line runs.
 //
-// The functional fast path (BlockExec::step_run) executes each converged
-// straight-line run in one dispatch. Instead of looping the per-instruction
-// `switch (d.op)` of exec_alu over the run, this backend compiles each
-// batchable decoded instruction once per program into a ThreadedOp - a
-// dense handler index plus operand row offsets premultiplied for lane
-// storage - and executes whole runs through a computed-goto
+// Both executors' fast paths execute each converged straight-line run in
+// one dispatch: the functional executor through BlockExec::step_run, the
+// timing executor through the pending range of instructions it issued for
+// timing only (BlockExec::issue_timing_only). Instead of looping the
+// per-instruction `switch (d.op)` of exec_alu over the run, this backend
+// compiles each batchable decoded instruction once per program into a
+// ThreadedOp - a dense handler index plus operand row offsets premultiplied
+// for lane storage - and executes whole runs through a computed-goto
 // dispatch loop (GCC/Clang `&&label` token threading), falling back to a
 // portable dense-switch loop when the extension is unavailable
 // (configure-time: the build defines VGPU_HAVE_COMPUTED_GOTO when the
@@ -13,12 +15,12 @@
 // forces the fallback).
 //
 // Both dispatch loops are required to be bit-identical to exec_alu, which
-// still single-steps the same opcodes on the timed and divergent paths; the
-// handler bodies are the exact expressions of the corresponding exec_alu
-// cases. threaded_dispatch_test runs the two loops side by side over every
-// handler, and the differential suites (fuzz_differential_test,
-// fastpath_equivalence_test) compare the functional executor, which runs
-// them, against the reference interpreter.
+// still single-steps the same opcodes for divergent warps and guarded
+// instructions; the handler bodies are the exact expressions of the
+// corresponding exec_alu cases. threaded_dispatch_test runs the two loops
+// side by side over every handler, and the differential suites
+// (fuzz_differential_test, fastpath_equivalence_test) compare both
+// executors, which run them, against the reference interpreter.
 #pragma once
 
 #include <cstdint>

@@ -150,10 +150,14 @@ struct Sm {
   bool any_work = false;
 };
 
-/// The post-step fields the cycle-charging switch needs from the issued
-/// instruction, fillable from either encoding so both execution paths share
-/// one switch body.
+/// One issue as the cycle-charging switch sees it: where it issued, and the
+/// post-step fields it needs from the issued instruction, fillable from
+/// either encoding so both execution paths share one switch body.
 struct IssueView {
+  std::size_t slot = 0;
+  std::uint32_t w = 0;
+  std::uint64_t start = 0;  ///< SM cycle at issue
+  std::uint32_t pc = 0;     ///< static PC (attribution runs only)
   std::uint32_t dst_slot = kNoSlot;
   std::uint32_t width_words = 1;
   PredId pdst = kNoPred;
@@ -218,6 +222,11 @@ struct WorkerCtx {
   std::optional<CoalesceMemo> memo;
   std::optional<ConflictMemo> cmemo;
   CoalesceResult scratch;
+  /// The StepResult of a run instruction issued for timing only
+  /// (BlockExec::issue_timing_only): a register-ALU step. sm_step rewrites
+  /// its region and opcode per issue; every other field keeps its default,
+  /// so the issue is priced and counted exactly like a stepped one.
+  StepResult run_issue;
   LaunchStats stats;
   /// Per-PC attribution partial (attr_ runs only). Like the stats partial,
   /// every field is an integer counter (plus an address min/max), so the
@@ -283,6 +292,7 @@ void accumulate_counters(LaunchStats& into, const LaunchStats& part) {
   into.tex_hits += part.tex_hits;
   into.tex_misses += part.tex_misses;
   into.barriers += part.barriers;
+  into.traces_entered += part.traces_entered;
 }
 
 /// Fork/join pool for the bucket phases: one persistent thread per extra
@@ -425,6 +435,11 @@ class TimedRun {
   void charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                     std::uint64_t next_event);
   void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
+  /// Prices and accounts one issued instruction: the SM clock, scoreboard
+  /// and memory pipeline for `res.kind`, the counters, attribution and the
+  /// IssueSpan.
+  void account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                     const IssueView& iv, const StepResult& res);
   void run_buckets();
   void worker_phase(std::uint32_t w);
   void run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
@@ -530,6 +545,8 @@ void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
       // threads. Installed once; reset() keeps the pointer.
       WorkerCtx& ctx = workers_[sm_id % nthreads_];
       rb.exec->set_conflict_memo(ctx.cmemo ? &*ctx.cmemo : nullptr);
+      rb.exec->set_run_programs(ck_->threaded(), ck_->traces(),
+                                &ctx.stats.traces_entered);
     }
   }
   rb.reg_ready.assign(
@@ -826,7 +843,6 @@ void TimedRun::charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
 }
 
 void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
-  LaunchStats& stats = ctx.stats;
   // 1. release any satisfiable barriers. Only a step reaching a barrier or
   // exit, or a dispatch, can change a warp's done/at-barrier state, and
   // both dirty the flag, so the fast path elides the scan until then; the
@@ -874,28 +890,53 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
   }
   sm.rr = static_cast<std::uint32_t>(pick.chosen) + 1;
 
-  const std::size_t slot =
-      static_cast<std::size_t>(pick.chosen) / warps_per_block_;
-  const std::uint32_t w =
-      static_cast<std::uint32_t>(pick.chosen) % warps_per_block_;
+  IssueView iv;
+  iv.slot = static_cast<std::size_t>(pick.chosen) / warps_per_block_;
+  iv.w = static_cast<std::uint32_t>(pick.chosen) % warps_per_block_;
+  iv.start = sm.cycle;
+  BlockExec& exec = *sm.slots[iv.slot].exec;
+  const WarpState& ws = exec.warp(iv.w);
+  // Static PC of the instruction about to issue (the issue advances ws.ip).
+  if (attr_) iv.pc = decp_->block_start[ws.block] + ws.ip;
+  // Fast path: an instruction inside a converged warp's straight-line run
+  // issues for timing only and is priced from its decoded form; its values
+  // execute with the whole run before the warp's next step.
+  const DecodedInstr* const timing_only =
+      fast_ ? exec.issue_timing_only(iv.w) : nullptr;
+  // Snapshot what the writeback stage needs before step advances state.
+  if (fast_) {
+    const DecodedInstr& din =
+        timing_only != nullptr ? *timing_only : *exec.peek_decoded(iv.w);
+    iv.dst_slot = din.dst_slot;
+    iv.width_words = din.width_words;
+    iv.pdst = din.pdst;
+    iv.is_load = din.is_load;
+  } else {
+    const Instruction& in = *exec.peek(iv.w);
+    iv.dst_slot = in.dst.valid() ? exec.operand_slot(in.dst) : kNoSlot;
+    iv.width_words = width_words(in.width);
+    iv.pdst = in.pdst;
+    iv.is_load = in.is_load();
+  }
+  if (timing_only != nullptr) {
+    ctx.run_issue.region = timing_only->region;
+    ctx.run_issue.op = timing_only->op;
+    account_issue(sm, sm_id, ctx, iv, ctx.run_issue);
+  } else {
+    account_issue(sm, sm_id, ctx, iv, exec.step(iv.w, sm.cycle));
+  }
+}
+
+void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                             const IssueView& iv, const StepResult& res) {
+  LaunchStats& stats = ctx.stats;
+  const std::size_t slot = iv.slot;
+  const std::uint32_t w = iv.w;
+  const std::uint64_t issue_start = iv.start;
+  const std::uint32_t pc = iv.pc;
   ResidentBlock& rb = sm.slots[slot];
   BlockExec& exec = *rb.exec;
   WarpState& ws = exec.warp(w);
-
-  // Snapshot what the writeback stage needs before step advances state.
-  IssueView iv;
-  if (fast_) {
-    const DecodedInstr& din = *exec.peek_decoded(w);
-    iv = IssueView{din.dst_slot, din.width_words, din.pdst, din.is_load};
-  } else {
-    const Instruction& in = *exec.peek(w);
-    iv = IssueView{in.dst.valid() ? exec.operand_slot(in.dst) : kNoSlot,
-                   width_words(in.width), in.pdst, in.is_load()};
-  }
-  const std::uint64_t issue_start = sm.cycle;
-  // Static PC of the instruction about to issue (step advances ws.ip).
-  const std::uint32_t pc = attr_ ? decp_->block_start[ws.block] + ws.ip : 0u;
-  const StepResult res = exec.step(w, sm.cycle);
   // Only a barrier arrival or an exit can change a warp's done/at-barrier
   // state, the sole inputs of the barrier-release scan.
   if (res.kind == StepResult::Kind::kBarrier ||

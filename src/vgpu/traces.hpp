@@ -18,12 +18,13 @@
 // Handler bodies are the VGPU_THREADED_HANDLERS expansions (threaded.cpp)
 // verbatim - a trace performs the same lane operations in the same order as
 // exec_threaded, so trace dispatch is bit-identical by construction, and
-// the differential suites check the functional executor, which dispatches
-// every trace, against the reference interpreter.
+// the differential suites check both executors, which dispatch every
+// trace, against the reference interpreter.
 //
-// Traces exist only at run *heads* - the only place BlockExec::step_run
-// enters a run, since a warp's mask cannot change inside one - and only
-// runs of length >= 2 get one; single-instruction runs go through the
+// Traces exist only at run *heads* - the only place a converged warp enters
+// a run, since a warp's mask cannot change inside one: BlockExec::step_run
+// starts there, and a timing-only pending range always starts there - and
+// only runs of length >= 2 get one; single-instruction runs go through the
 // threaded loop.
 #pragma once
 

@@ -272,8 +272,8 @@ TEST(FastPathEquivalence, ConstantMemoryKernel) {
 TEST(FastPathEquivalence, DivergentKernelBatchedDispatch) {
   // Lanes split three ways on tid bits inside a counted loop, so warps are
   // almost never fully converged: the functional fast path must keep
-  // bailing out of run dispatch to single stepping and still match the
-  // reference exactly.
+  // bailing out of run dispatch, and the timed fast path out of timing-only
+  // issue, to single stepping and still match the reference exactly.
   KernelBuilder kb("divergent", 2);
   Val i = kb.iadd(kb.imul(kb.ctaid(), kb.ntid()), kb.tid());
   Val x = kb.ld_global_f32(kb.iadd(kb.param_u32(0), kb.shl(i, 2)));

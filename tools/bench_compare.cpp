@@ -2,8 +2,11 @@
 //
 // Compares a candidate record against a baseline record (both written by
 // bench_util's --json export) table by table, matching tables by title,
-// rows by their first cell and columns by header. Two column classes are
-// enforced:
+// rows by their first cell and columns by header. A table may repeat a
+// first cell (sim_throughput's fast-vs-reference table has a functional and
+// a timing row per workload), so the k-th baseline row with a given first
+// cell is compared with the k-th candidate row with that cell. Two column
+// classes are enforced:
 //
 //   * headers containing "cycles" are simulator *results* and must match
 //     exactly - any drift means the model (or the fast path's
@@ -40,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -98,11 +102,15 @@ const JsonValue* find_table(const JsonValue& record, const std::string& title) {
   return nullptr;
 }
 
-const JsonValue* find_row(const JsonValue& table, const std::string& key) {
+/// The `nth` (0-based) row of `table` whose first cell is `key`.
+const JsonValue* find_row(const JsonValue& table, const std::string& key,
+                          std::size_t nth) {
   const JsonValue* rows = table.find("rows");
   if (rows == nullptr || !rows->is_array()) return nullptr;
   for (const JsonValue& r : rows->items()) {
-    if (r.is_array() && cell(r, 0) == key) return &r;
+    if (!r.is_array() || cell(r, 0) != key) continue;
+    if (nth == 0) return &r;
+    --nth;
   }
   return nullptr;
 }
@@ -197,12 +205,16 @@ struct Compare {
              "\"");
       }
     }
+    std::map<std::string, std::size_t> seen;  // baseline rows per first cell
     for (const JsonValue& row : rows->items()) {
       if (!row.is_array() || row.size() == 0) continue;
       const std::string key = cell(row, 0);
-      const JsonValue* cand_row = find_row(*cand_t, key);
+      const std::size_t nth = seen[key]++;
+      const std::string label =
+          "\"" + key + "\"" + (nth > 0 ? " #" + std::to_string(nth + 1) : "");
+      const JsonValue* cand_row = find_row(*cand_t, key, nth);
       if (cand_row == nullptr) {
-        fail("row \"" + key + "\" missing from candidate table \"" + title +
+        fail("row " + label + " missing from candidate table \"" + title +
              "\"");
         continue;
       }
@@ -214,7 +226,7 @@ struct Compare {
           header = cell(*headers, c);
           k = col[c];
         }
-        compare_cell("\"" + title + "\" / \"" + key + "\"", header, key,
+        compare_cell("\"" + title + "\" / " + label, header, key,
                      cell(row, c), cell(*cand_row, k));
       }
     }
