@@ -28,6 +28,7 @@
 #include <limits>
 #include <vector>
 
+#include "vgpu/check.hpp"
 #include "vgpu/interp.hpp"
 #include "vgpu/ir.hpp"
 #include "vgpu/launch.hpp"
@@ -126,5 +127,35 @@ struct DecodedProgram {
 /// Pre-decode a finished program (register layout present). The result
 /// references nothing in `prog` and stays valid independently of it.
 [[nodiscard]] DecodedProgram decode(const Program& prog);
+
+// The timing executor's per-issue accessors (declared in interp.hpp). They
+// are defined here, where DecodedProgram is complete, so the timing
+// executor's issue loops inline them.
+
+inline const DecodedInstr* BlockExec::peek_decoded(std::uint32_t w) const {
+  const WarpState& ws = warps_[w];
+  if (ws.done || ws.at_barrier) return nullptr;
+  return &dec_->at(ws.block, ws.ip);
+}
+
+// Issue without execution: see interp.hpp. The run instructions' values
+// land in step_fast, before the warp's next instruction - the run's
+// terminator - executes; until then only the timing model sees the issue.
+inline const DecodedInstr* BlockExec::issue_timing_only(std::uint32_t w) {
+  if (threaded_ == nullptr) return nullptr;
+  WarpState& ws = warps_[w];
+  VGPU_EXPECTS_MSG(!ws.done && !ws.at_barrier,
+                   "issuing a finished or parked warp");
+  if ((ws.active & full_mask_) != full_mask_) return nullptr;
+  const std::uint32_t pc = dec_->block_start[ws.block] + ws.ip;
+  if (dec_->runs[pc].len == 0) return nullptr;
+  if (ws.pending_len == 0) ws.pending_first = pc;
+  VGPU_EXPECTS_MSG(ws.pending_first + ws.pending_len == pc,
+                   "a timing-only issue must extend the pending range");
+  ++ws.pending_len;
+  ++ws.ip;
+  ++ws.issued;
+  return &dec_->instrs[pc];
+}
 
 }  // namespace vgpu

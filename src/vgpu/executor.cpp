@@ -21,8 +21,9 @@ void count_global_step(const StepResult& res, const DeviceSpec& spec,
     std::uint32_t active = 0;
     for (std::uint32_t k = 0; k < half; ++k) {
       const std::uint32_t lane = h * half + k;
+      if (!(res.mem_mask & (1u << lane))) continue;  // address unwritten
       addrs[k] = res.lane_addrs[lane];
-      if (res.mem_mask & (1u << lane)) active |= 1u << k;
+      active |= 1u << k;
     }
     if (active == 0) continue;
     MemRequest req{std::span<const std::uint32_t>(addrs.data(), half), active,

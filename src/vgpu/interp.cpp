@@ -123,12 +123,6 @@ const Instruction* BlockExec::peek(std::uint32_t w) const {
   return &prog_.blocks[ws.block].instrs[ws.ip];
 }
 
-const DecodedInstr* BlockExec::peek_decoded(std::uint32_t w) const {
-  const WarpState& ws = warps_[w];
-  if (ws.done || ws.at_barrier) return nullptr;
-  return &dec_->at(ws.block, ws.ip);
-}
-
 void BlockExec::transfer(WarpState& ws, BlockId next) {
   while (!ws.stack.empty() && ws.stack.back().reconv == next) {
     DivEntry& top = ws.stack.back();
@@ -866,26 +860,6 @@ const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
   return &run;
 }
 
-// Issue without execution: see the header. The run instructions' values
-// land in step_fast, before the warp's next instruction - the run's
-// terminator - executes; until then only the timing model sees the issue.
-const DecodedInstr* BlockExec::issue_timing_only(std::uint32_t w) {
-  if (threaded_ == nullptr) return nullptr;
-  WarpState& ws = warps_[w];
-  VGPU_EXPECTS_MSG(!ws.done && !ws.at_barrier,
-                   "issuing a finished or parked warp");
-  if ((ws.active & full_mask_) != full_mask_) return nullptr;
-  const std::uint32_t pc = dec_->block_start[ws.block] + ws.ip;
-  if (dec_->runs[pc].len == 0) return nullptr;
-  if (ws.pending_len == 0) ws.pending_first = pc;
-  VGPU_EXPECTS_MSG(ws.pending_first + ws.pending_len == pc,
-                   "a timing-only issue must extend the pending range");
-  ++ws.pending_len;
-  ++ws.ip;
-  ++ws.issued;
-  return &dec_->instrs[pc];
-}
-
 // Compiled dispatch: pre-resolved operand rows, dense handlers, one indirect
 // jump per instruction (threaded.cpp) - or, for a run starting at a compiled
 // trace head, one jump per trace *segment* (traces.cpp). Both are
@@ -933,9 +907,6 @@ void BlockExec::exec_boundary(const DecodedInstr& d, WarpState& ws,
   auto row = [&](std::uint32_t s) -> std::uint32_t* { return R + s * 32u; };
   const std::uint32_t words = d.width_words;
   const std::uint32_t wbytes = d.width_bytes;
-  // Lanes past the warp size never execute; a fresh StepResult leaves their
-  // addresses zero and `mem_mask` can carry their bits, so match that.
-  for (std::uint32_t l = warp_size; l < 32u; ++l) out.lane_addrs[l] = 0;
 
   switch (d.op) {
     case Opcode::kLdGlobal:

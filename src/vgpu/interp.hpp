@@ -92,9 +92,14 @@ struct StepResult {
   // memory step details (kGlobal / kShared)
   MemWidth width = MemWidth::kW32;
   bool is_store = false;
-  Mask mem_mask = 0;                          ///< lanes that accessed memory
-  std::array<std::uint32_t, 32> lane_addrs{};  ///< byte addresses per lane
-  std::uint32_t shared_conflict_degree = 0;    ///< max serialization degree
+  Mask mem_mask = 0;  ///< lanes that accessed memory
+  /// Byte addresses of the warp's lanes in `mem_mask` (kGlobal, kShared,
+  /// kConst, kTex). Other entries are left unwritten - a fresh StepResult
+  /// would otherwise zero-fill 128 bytes per step - and local ops carry no
+  /// address at all, so readers stop at the warp size and mask with
+  /// `mem_mask`.
+  std::array<std::uint32_t, 32> lane_addrs;
+  std::uint32_t shared_conflict_degree = 0;  ///< max serialization degree
 };
 
 /// Per-block launch parameters handed to BlockExec.
@@ -141,7 +146,8 @@ class BlockExec {
   /// it, append it to the warp's pending range and return its decoded form
   /// for pricing. Returns nullptr - nothing changed, the caller must step()
   /// - when no run programs are installed, the mask is divergent, or the
-  /// instruction is not in a run.
+  /// instruction is not in a run. Defined inline in decode.hpp, where
+  /// DecodedProgram is complete: it runs once per issued run instruction.
   ///
   /// A run touches no memory and writes no predicate, and a warp's mask
   /// changes only at branches, so a warp converged at a run instruction was
@@ -149,7 +155,7 @@ class BlockExec {
   /// values are first read by the warp's own next step() - the run's
   /// terminator - which executes the pending range first, once, through the
   /// same compiled programs as step_run.
-  const DecodedInstr* issue_timing_only(std::uint32_t w);
+  inline const DecodedInstr* issue_timing_only(std::uint32_t w);
 
   /// Batched dispatch (the functional executor's fast path): when warp `w`
   /// is fully converged and sits at the start of a non-empty straight-line
@@ -198,8 +204,8 @@ class BlockExec {
   [[nodiscard]] const Instruction* peek(std::uint32_t w) const;
 
   /// Pre-decoded twin of peek(); only valid when constructed with a
-  /// DecodedProgram.
-  [[nodiscard]] const DecodedInstr* peek_decoded(std::uint32_t w) const;
+  /// DecodedProgram. Defined inline in decode.hpp, like issue_timing_only.
+  [[nodiscard]] inline const DecodedInstr* peek_decoded(std::uint32_t w) const;
 
   [[nodiscard]] bool decoded() const { return dec_ != nullptr; }
 

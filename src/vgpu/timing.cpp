@@ -129,7 +129,9 @@ enum class Park : std::uint8_t {
 struct Sm {
   std::uint64_t cycle = 0;
   std::vector<ResidentBlock> slots;
-  std::uint32_t rr = 0;  ///< round-robin cursor over (slot, warp) pairs
+  /// Round-robin cursor: the (slot, warp) candidate pick_warp probes first.
+  std::uint32_t rr_slot = 0;
+  std::uint32_t rr_warp = 0;
   /// A warp's done/at-barrier state may have changed since the last
   /// barrier-release scan. Only generic steps reaching a barrier/exit and
   /// dispatches can change it (and both set this), so the fast path elides
@@ -222,11 +224,6 @@ struct WorkerCtx {
   std::optional<CoalesceMemo> memo;
   std::optional<ConflictMemo> cmemo;
   CoalesceResult scratch;
-  /// The StepResult of a run instruction issued for timing only
-  /// (BlockExec::issue_timing_only): a register-ALU step. sm_step rewrites
-  /// its region and opcode per issue; every other field keeps its default,
-  /// so the issue is priced and counted exactly like a stepped one.
-  StepResult run_issue;
   LaunchStats stats;
   /// Per-PC attribution partial (attr_ runs only). Like the stats partial,
   /// every field is an integer counter (plus an address min/max), so the
@@ -402,10 +399,21 @@ class TimedRun {
 
  private:
   struct Pick {
-    std::int64_t chosen = -1;
+    bool chosen = false;
+    std::uint32_t slot = 0;  ///< the chosen candidate, when `chosen`
+    std::uint32_t warp = 0;
     std::uint64_t next_event = kNever;
     bool pending = false;  ///< a candidate waits on an unresolved DRAM value
   };
+
+  /// Steps a (slot, warp) candidate to the next one in round-robin order.
+  void next_candidate(const Sm& sm, std::uint32_t& slot,
+                      std::uint32_t& w) const {
+    if (++w == warps_per_block_) {
+      w = 0;
+      if (++slot == sm.slots.size()) slot = 0;
+    }
+  }
 
   void do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
                    std::uint64_t when, std::size_t reserved);
@@ -435,11 +443,32 @@ class TimedRun {
   void charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                     std::uint64_t next_event);
   void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
+  void issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
   /// Prices and accounts one issued instruction: the SM clock, scoreboard
   /// and memory pipeline for `res.kind`, the counters, attribution and the
   /// IssueSpan.
   void account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                      const IssueView& iv, const StepResult& res);
+  // account_issue for a run instruction issued for timing only - its kAlu
+  // path, priced from the decoded form - and the pieces every issue's
+  // accounting is made of, in order. They run once per warp instruction, so
+  // they are forced inline into sm_step and the in-run loop.
+  [[gnu::always_inline]] inline void account_run_issue(
+      Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx, const IssueView& iv,
+      const DecodedInstr& d);
+  [[gnu::always_inline]] inline void begin_issue(ResidentBlock& rb,
+                                                 std::uint32_t w,
+                                                 LaunchStats& stats,
+                                                 Region region,
+                                                 Opcode op) const;
+  [[gnu::always_inline]] inline void charge_alu(Sm& sm, ResidentBlock& rb,
+                                                WarpState& ws, std::uint32_t w,
+                                                std::uint32_t dst_slot,
+                                                PredId pdst) const;
+  [[gnu::always_inline]] inline void end_issue(Sm& sm, std::uint32_t sm_id,
+                                               WorkerCtx& ctx,
+                                               const IssueView& iv,
+                                               ResidentBlock& rb, Opcode op);
   void run_buckets();
   void worker_phase(std::uint32_t w);
   void run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
@@ -655,24 +684,11 @@ TimedRun::Pick TimedRun::pick_warp(Sm& sm) const {
   const std::uint32_t total =
       static_cast<std::uint32_t>(sm.slots.size()) * warps_per_block_;
   Pick p;
-  // Walk (slot, warp) incrementally from the round-robin cursor instead of
-  // dividing per probe; most picks touch only the first candidate.
-  std::uint32_t idx = sm.rr % total;
-  std::size_t slot = idx / warps_per_block_;
-  std::uint32_t w = idx % warps_per_block_;
-  const auto advance = [&] {
-    ++idx;
-    ++w;
-    if (w == warps_per_block_) {
-      w = 0;
-      ++slot;
-    }
-    if (idx == total) {
-      idx = 0;
-      slot = 0;
-    }
-  };
-  for (std::uint32_t i = 0; i < total; ++i, advance()) {
+  // Walk the (slot, warp) candidates from the round-robin cursor; most
+  // picks touch only the first one.
+  std::uint32_t slot = sm.rr_slot;
+  std::uint32_t w = sm.rr_warp;
+  for (std::uint32_t i = 0; i < total; ++i, next_candidate(sm, slot, w)) {
     ResidentBlock& rb = sm.slots[slot];
     if (!rb.exec) continue;
     std::uint64_t ready_at;
@@ -702,7 +718,9 @@ TimedRun::Pick TimedRun::pick_warp(Sm& sm) const {
       ready_at = std::max(rb.exec->warp(w).ready_cycle, dep_ready(rb, w, *in));
     }
     if (ready_at <= sm.cycle) {
-      p.chosen = idx;
+      p.chosen = true;
+      p.slot = slot;
+      p.warp = w;
       return p;
     }
     if (ready_at == kNever) {
@@ -741,22 +759,9 @@ TimedRun::StallCause TimedRun::classify_stall(Sm& sm,
   };
   const std::uint32_t total =
       static_cast<std::uint32_t>(sm.slots.size()) * warps_per_block_;
-  std::uint32_t idx = sm.rr % total;
-  std::size_t slot = idx / warps_per_block_;
-  std::uint32_t w = idx % warps_per_block_;
-  const auto advance = [&] {
-    ++idx;
-    ++w;
-    if (w == warps_per_block_) {
-      w = 0;
-      ++slot;
-    }
-    if (idx == total) {
-      idx = 0;
-      slot = 0;
-    }
-  };
-  for (std::uint32_t i = 0; i < total; ++i, advance()) {
+  std::uint32_t slot = sm.rr_slot;
+  std::uint32_t w = sm.rr_warp;
+  for (std::uint32_t i = 0; i < total; ++i, next_candidate(sm, slot, w)) {
     ResidentBlock& rb = sm.slots[slot];
     if (!rb.exec) continue;
     const WarpState& ws = rb.exec->warp(w);
@@ -874,7 +879,7 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
 
   // 2. pick an issueable warp
   const Pick pick = pick_warp(sm);
-  if (pick.chosen < 0) {
+  if (!pick.chosen) {
     if (pick.pending && pick.next_event >= bucket_end_) {
       // A candidate waits on an in-flight DRAM value whose exact arrival is
       // known only after the bucket merge, and every *known* wake-up is at
@@ -888,25 +893,29 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
     charge_stall(sm, sm_id, ctx, pick.next_event);
     return;
   }
-  sm.rr = static_cast<std::uint32_t>(pick.chosen) + 1;
+  // The cursor moves to the candidate after the chosen one.
+  sm.rr_slot = pick.slot;
+  sm.rr_warp = pick.warp;
+  next_candidate(sm, sm.rr_slot, sm.rr_warp);
 
   IssueView iv;
-  iv.slot = static_cast<std::size_t>(pick.chosen) / warps_per_block_;
-  iv.w = static_cast<std::uint32_t>(pick.chosen) % warps_per_block_;
+  iv.slot = pick.slot;
+  iv.w = pick.warp;
   iv.start = sm.cycle;
   BlockExec& exec = *sm.slots[iv.slot].exec;
   const WarpState& ws = exec.warp(iv.w);
   // Static PC of the instruction about to issue (the issue advances ws.ip).
   if (attr_) iv.pc = decp_->block_start[ws.block] + ws.ip;
-  // Fast path: an instruction inside a converged warp's straight-line run
-  // issues for timing only and is priced from its decoded form; its values
-  // execute with the whole run before the warp's next step.
-  const DecodedInstr* const timing_only =
-      fast_ ? exec.issue_timing_only(iv.w) : nullptr;
-  // Snapshot what the writeback stage needs before step advances state.
   if (fast_) {
-    const DecodedInstr& din =
-        timing_only != nullptr ? *timing_only : *exec.peek_decoded(iv.w);
+    // An instruction inside a converged warp's straight-line run issues for
+    // timing only and is priced from its decoded form; its values execute
+    // with the whole run before the warp's next step.
+    if (const DecodedInstr* run = exec.issue_timing_only(iv.w)) {
+      account_run_issue(sm, sm_id, ctx, iv, *run);
+      return;
+    }
+    // Snapshot what the writeback stage needs before step advances state.
+    const DecodedInstr& din = *exec.peek_decoded(iv.w);
     iv.dst_slot = din.dst_slot;
     iv.width_words = din.width_words;
     iv.pdst = din.pdst;
@@ -918,13 +927,111 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
     iv.pdst = in.pdst;
     iv.is_load = in.is_load();
   }
-  if (timing_only != nullptr) {
-    ctx.run_issue.region = timing_only->region;
-    ctx.run_issue.op = timing_only->op;
-    account_issue(sm, sm_id, ctx, iv, ctx.run_issue);
-  } else {
-    account_issue(sm, sm_id, ctx, iv, exec.step(iv.w, sm.cycle));
+  account_issue(sm, sm_id, ctx, iv, exec.step(iv.w, sm.cycle));
+}
+
+// The in-run issue loop (docs/performance.md, "The in-run issue loop"). On
+// a saturated SM most picks are the round-robin cursor's candidate: ready,
+// converged and inside a run. While that holds this takes exactly the step
+// sm_step would take - pick_warp returns the first ready candidate in
+// round-robin order, so a ready first candidate is its pick - without the
+// generic pick and step. It returns at the first candidate that is not
+// ready, outside a run or divergent, and at the bucket end; sm_step takes
+// the next step from there. Done and barrier-parked warps are passed over
+// and marked kReadySkip, exactly as a probe marks them; no other probe is
+// cached. Callers run it only while the barrier-release scan is elided
+// (barrier_dirty clear), and a timing-only issue never dirties it, so
+// sm_step's first stage has nothing to do before any of these steps.
+void TimedRun::issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
+  const std::uint32_t total =
+      static_cast<std::uint32_t>(sm.slots.size()) * warps_per_block_;
+  std::uint32_t slot = sm.rr_slot;
+  std::uint32_t w = sm.rr_warp;
+  // Candidates passed over since the last issue: after a whole round of
+  // them nothing here can issue, and sm_step charges the stall.
+  std::uint32_t passed = 0;
+  while (sm.cycle < bucket_end_ && passed < total) {
+    ResidentBlock& rb = sm.slots[slot];
+    const DecodedInstr* d = nullptr;
+    if (rb.exec && rb.ready_state[w] != kReadySkip) {
+      d = rb.exec->peek_decoded(w);
+      if (d == nullptr) rb.ready_state[w] = kReadySkip;  // done or at barrier
+    }
+    if (d == nullptr) {
+      ++passed;
+      next_candidate(sm, slot, w);
+      continue;
+    }
+    BlockExec& exec = *rb.exec;
+    const WarpState& ws = exec.warp(w);
+    const std::uint64_t ready_at =
+        rb.ready_state[w] == kReadyCached
+            ? rb.ready_cache[w]
+            : std::max(ws.ready_cycle, dep_ready_fast(rb, w, *d));
+    if (ready_at > sm.cycle) return;
+    IssueView iv;
+    iv.slot = slot;
+    iv.w = w;
+    iv.start = sm.cycle;
+    if (attr_) iv.pc = decp_->block_start[ws.block] + ws.ip;
+    d = exec.issue_timing_only(w);
+    if (d == nullptr) return;  // outside a run or divergent: nothing changed
+    next_candidate(sm, slot, w);
+    sm.rr_slot = slot;
+    sm.rr_warp = w;
+    passed = 0;
+    account_run_issue(sm, sm_id, ctx, iv, *d);
   }
+}
+
+void TimedRun::begin_issue(ResidentBlock& rb, std::uint32_t w,
+                           LaunchStats& stats, Region region,
+                           Opcode op) const {
+  rb.ready_state[w] = kReadyInvalid;  // ip moved: the cached probe is stale
+  ++stats.warp_instructions;
+  ++stats.region_instructions[static_cast<std::size_t>(region)];
+  ++stats.instr_class_counts[static_cast<std::size_t>(instr_class(op))];
+}
+
+// A register-ALU issue: one issue slot, the result after the pipeline
+// latency.
+void TimedRun::charge_alu(Sm& sm, ResidentBlock& rb, WarpState& ws,
+                          std::uint32_t w, std::uint32_t dst_slot,
+                          PredId pdst) const {
+  sm.cycle += t_.alu_issue_cycles;
+  ws.ready_cycle = sm.cycle;
+  set_slot_ready(rb, w, dst_slot, 1, sm.cycle + t_.alu_result_latency_cycles,
+                 kRsnPipeline);
+  if (pdst != kNoPred) {
+    rb.pred_ready[static_cast<std::size_t>(w) * prog_.num_preds + pdst] =
+        sm.cycle + t_.alu_result_latency_cycles;
+  }
+}
+
+// Every issue's epilogue: its issue-port cycles, the warp's stall reason,
+// the per-PC attribution and the IssueSpan.
+void TimedRun::end_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                         const IssueView& iv, ResidentBlock& rb, Opcode op) {
+  ctx.stats.sm_issue_cycles += sm.cycle - iv.start;
+  if (classify_) rb.warp_reason[iv.w] = kRsnIssuePort;
+  if (attr_) {
+    PcAttribution& a = ctx.attr[iv.pc];
+    ++a.issues;
+    a.issue_cycles += sm.cycle - iv.start;
+  }
+  if (sink_ != nullptr) {
+    emit(sm_id, iv.start,
+         TimelineSink::IssueSpan{sm_id, static_cast<std::uint32_t>(iv.slot),
+                                 iv.w, instr_class(op), iv.start, sm.cycle});
+  }
+}
+
+void TimedRun::account_run_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                                 const IssueView& iv, const DecodedInstr& d) {
+  ResidentBlock& rb = sm.slots[iv.slot];
+  begin_issue(rb, iv.w, ctx.stats, d.region, d.op);
+  charge_alu(sm, rb, rb.exec->warp(iv.w), iv.w, d.dst_slot, d.pdst);
+  end_issue(sm, sm_id, ctx, iv, rb, d.op);
 }
 
 void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
@@ -943,22 +1050,12 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       res.kind == StepResult::Kind::kExit) {
     sm.barrier_dirty = true;
   }
-  rb.ready_state[w] = kReadyInvalid;  // ip moved: the cached probe is stale
-  ++stats.warp_instructions;
-  ++stats.region_instructions[static_cast<std::size_t>(res.region)];
-  ++stats.instr_class_counts[static_cast<std::size_t>(instr_class(res.op))];
+  begin_issue(rb, w, stats, res.region, res.op);
   if (res.divergent_branch) ++stats.divergent_branches;
 
   switch (res.kind) {
     case StepResult::Kind::kAlu:
-      sm.cycle += t_.alu_issue_cycles;
-      ws.ready_cycle = sm.cycle;
-      set_slot_ready(rb, w, iv.dst_slot, 1,
-                     sm.cycle + t_.alu_result_latency_cycles, kRsnPipeline);
-      if (iv.pdst != kNoPred) {
-        rb.pred_ready[static_cast<std::size_t>(w) * prog_.num_preds +
-                      iv.pdst] = sm.cycle + t_.alu_result_latency_cycles;
-      }
+      charge_alu(sm, rb, ws, w, iv.dst_slot, iv.pdst);
       break;
     case StepResult::Kind::kShared: {
       count_shared_step(res, stats);
@@ -988,8 +1085,9 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
         std::uint32_t active = 0;
         for (std::uint32_t k = 0; k < half; ++k) {
           const std::uint32_t lane = h * half + k;
+          if (!(res.mem_mask & (1u << lane))) continue;  // address unwritten
           addrs[k] = res.lane_addrs[lane];
-          if (res.mem_mask & (1u << lane)) active |= 1u << k;
+          active |= 1u << k;
         }
         if (active == 0) continue;
         MemRequest req{std::span<const std::uint32_t>(addrs.data(), half),
@@ -1133,11 +1231,10 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       if (attr_) ctx.attr[pc].dram_bytes += 128;  // 2 x 64B fills
       const std::size_t seg_begin = segs_[sm_id].size();
       for (int half_idx = 0; half_idx < 2; ++half_idx) {
+        // Spills carry no address, so the two fills always land on the
+        // first two partitions.
         const std::size_t p =
-            (static_cast<std::size_t>(res.lane_addrs[0]) /
-                 t_.partition_stride_bytes +
-             static_cast<std::size_t>(half_idx)) %
-            channel_.size();
+            static_cast<std::size_t>(half_idx) % channel_.size();
         const double service = 64.0 * channel_cycles_per_byte_;
         stats.global_bytes += 64;
         segs_[sm_id].push_back(DeferredSeg{static_cast<std::uint32_t>(p), 64,
@@ -1270,23 +1367,16 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
       }
       break;
   }
-  stats.sm_issue_cycles += sm.cycle - issue_start;
-  if (classify_) rb.warp_reason[w] = kRsnIssuePort;
-  if (attr_) {
-    PcAttribution& a = ctx.attr[pc];
-    ++a.issues;
-    a.issue_cycles += sm.cycle - issue_start;
-  }
-  if (sink_ != nullptr) {
-    emit(sm_id, issue_start,
-         TimelineSink::IssueSpan{sm_id, static_cast<std::uint32_t>(slot), w,
-                                 instr_class(res.op), issue_start, sm.cycle});
-  }
+  end_issue(sm, sm_id, ctx, iv, rb, res.op);
 }
 
 // Steps one SM until it leaves the bucket, parks, or runs out of work.
 void TimedRun::run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
   while (sm.park == Park::kNone && sm.cycle < bucket_end_ && sm.any_work) {
+    if (fast_ && !sm.barrier_dirty) {
+      issue_runs(sm, sm_id, ctx);
+      if (sm.cycle >= bucket_end_) break;
+    }
     sm_step(sm, sm_id, ctx);
   }
 }
@@ -1377,7 +1467,7 @@ void TimedRun::finish_parked_stalls() {
     sm.park = Park::kNone;
     WorkerCtx& ctx = workers_[s % nthreads_];
     const Pick pick = pick_warp(sm);
-    VGPU_EXPECTS_MSG(pick.chosen < 0 && !pick.pending,
+    VGPU_EXPECTS_MSG(!pick.chosen && !pick.pending,
                      "parked stall resolved to an issueable warp");
     charge_stall(sm, s, ctx, pick.next_event);
   }

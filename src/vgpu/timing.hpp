@@ -47,7 +47,10 @@ struct TimingOptions {
   /// exercise this flag. The fast path serves its decoded program from the
   /// process-wide decode cache (progcache.hpp) and issues one instruction
   /// per scheduling decision, like the reference, with the scoreboard read
-  /// set pre-flattened and each warp's probe result cached between picks.
+  /// set pre-flattened and each warp's probe result cached between picks;
+  /// while the round-robin candidate is a ready warp inside a straight-line
+  /// run it issues without the generic pick (docs/performance.md, "The
+  /// in-run issue loop").
   bool reference = false;
   /// Per-static-PC stall attribution output (null = off). When set on the
   /// fast path, the run fills the table with issue cycles, stall cycles by

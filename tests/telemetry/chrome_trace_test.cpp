@@ -92,6 +92,23 @@ TEST(ChromeTrace, ThreadedRunEmitsIdenticalEventStream) {
   }
 }
 
+// The far-field kernel's loop body is almost all straight-line register
+// ALU runs, issued for timing only and interleaved across warps, with
+// dependence stalls inside the runs and tile barriers between them - the
+// issue-bound path the memory-bound read kernel barely reaches. Both
+// executors must reproduce the recorded stream at every thread count.
+TEST(ChromeTrace, FarfieldRunEmitsRecordedEventStream) {
+  for (const bool reference : {false, true}) {
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      RecordingSink rec;
+      (void)test::run_farfield_kernel(&rec, threads, reference);
+      EXPECT_EQ(vgpu::golden::stream_digest(rec.log),
+                vgpu::golden::kFarfieldStream)
+          << "threads=" << threads << " reference=" << reference;
+    }
+  }
+}
+
 // A sink and an attribution table on the same launch share the stall
 // classification. At every thread count the stream must still be the
 // serial driver's recorded stream, and the table must reconcile, agree

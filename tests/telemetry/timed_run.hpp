@@ -1,12 +1,15 @@
-// timed_run.hpp - shared fixture helper for the telemetry tests: run the
+// timed_run.hpp - shared fixture helpers for the telemetry tests: run the
 // Fig. 10 strip-down read kernel (a real multi-block, memory-bound launch)
-// under the timing model with an optional TimelineSink and an optional
-// stall-attribution table attached.
+// or the far-field force kernel (issue-bound, almost all straight-line
+// register ALU runs) under the timing model with an optional TimelineSink
+// and an optional stall-attribution table attached.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "gravit/kernels.hpp"
+#include "gravit/spawn.hpp"
 #include "layout/microbench.hpp"
 #include "layout/plan.hpp"
 #include "layout/transform.hpp"
@@ -47,6 +50,40 @@ inline vgpu::LaunchStats run_read_kernel(vgpu::TimelineSink* sink,
   topt.attribution = attr;
   return dev.launch_timed(prog, vgpu::LaunchConfig{n / block, block}, params,
                           topt);
+}
+
+/// The far-field force kernel (SoAoaS, block = 128) on 512 uniform-cube
+/// particles on the G80 spec: four warps on each of four SMs.
+inline vgpu::LaunchStats run_farfield_kernel(vgpu::TimelineSink* sink,
+                                             std::uint32_t threads,
+                                             bool reference) {
+  const std::uint32_t n = 512;
+  const gravit::KernelOptions kopt;
+  const gravit::BuiltKernel built = gravit::make_farfield_kernel(kopt);
+  gravit::ParticleSet set = gravit::spawn_uniform_cube(n, 1.0f, 3);
+  const std::uint32_t n_pad = (n + kopt.block - 1) / kopt.block * kopt.block;
+  set.pad_to(n_pad);
+  const std::vector<std::byte> image =
+      layout::pack(built.phys, set.flatten(), n_pad);
+
+  vgpu::Device dev(vgpu::g80_spec(), 16u * 1024 * 1024);
+  vgpu::Buffer img = dev.malloc(image.size());
+  dev.memcpy_h2d(img, image);
+  vgpu::Buffer accel = dev.malloc(static_cast<std::size_t>(n_pad) * 12);
+  std::vector<std::uint32_t> params;
+  for (const std::uint64_t base : built.phys.group_bases(n_pad)) {
+    params.push_back(img.addr + static_cast<std::uint32_t>(base));
+  }
+  params.push_back(accel.addr);
+  params.push_back(n_pad / kopt.block);
+
+  vgpu::TimingOptions topt;
+  topt.sink = sink;
+  topt.threads = threads;
+  topt.reference = reference;
+  return dev.launch_timed(built.prog,
+                          vgpu::LaunchConfig{n_pad / kopt.block, kopt.block},
+                          params, topt);
 }
 
 }  // namespace telemetry::test

@@ -8,7 +8,8 @@
 // per launch its cycles and digests of LaunchStats::core() and device
 // memory, and one sink event stream's length and digest - so the suites
 // still check every thread count and both executors against an
-// independent record.
+// independent record. A second stream record, of an issue-bound launch,
+// was taken later from the bucketed driver.
 #pragma once
 
 #include <bit>
