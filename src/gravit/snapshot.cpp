@@ -1,8 +1,10 @@
 #include "gravit/snapshot.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "vgpu/check.hpp"
 
@@ -10,7 +12,23 @@ namespace gravit {
 
 namespace {
 constexpr char kMagic[4] = {'G', 'R', 'V', '1'};
+
+/// Floats read per chunk: the payload buffer grows only as the stream
+/// delivers data, whatever the header claims.
+constexpr std::size_t kChunkFloats = std::size_t{1} << 20;
+
+/// Bytes left in `is`, or nullopt when the stream cannot seek.
+std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || !is) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
 }
+}  // namespace
 
 void write_snapshot(const ParticleSet& set, std::ostream& os) {
   os.write(kMagic, 4);
@@ -30,10 +48,21 @@ ParticleSet read_snapshot(std::istream& is) {
   std::uint64_t n = 0;
   is.read(reinterpret_cast<char*>(&n), sizeof(n));
   VGPU_EXPECTS_MSG(is.good() && n < (1ull << 32), "corrupt snapshot header");
-  std::vector<float> flat(n * 7);
-  is.read(reinterpret_cast<char*>(flat.data()),
-          static_cast<std::streamsize>(flat.size() * sizeof(float)));
-  VGPU_EXPECTS_MSG(is.good(), "truncated snapshot");
+  // The header alone must not size an allocation: check that the payload
+  // is there before reading it, and read it in bounded chunks.
+  const std::uint64_t floats = n * 7;
+  const std::optional<std::uint64_t> left = remaining_bytes(is);
+  VGPU_EXPECTS_MSG(!left || *left >= floats * sizeof(float),
+                   "truncated snapshot");
+  std::vector<float> flat;
+  while (flat.size() < floats) {
+    const std::size_t chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunkFloats, floats - flat.size()));
+    flat.resize(flat.size() + chunk);
+    is.read(reinterpret_cast<char*>(flat.data() + flat.size() - chunk),
+            static_cast<std::streamsize>(chunk * sizeof(float)));
+    VGPU_EXPECTS_MSG(is.good(), "truncated snapshot");
+  }
   return ParticleSet::unflatten(flat);
 }
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -15,6 +16,12 @@
 namespace vgpu {
 
 namespace {
+
+/// Largest register or predicate index a listing may name. Register and
+/// predicate tables are sized from the largest index, so this keeps a
+/// malformed listing from asking for gigabytes; the repository's kernels
+/// name fewer than a hundred of either.
+constexpr std::uint32_t kMaxIndex = 0xFFFF;
 
 /// Token-level cursor over one instruction line.
 class Line {
@@ -81,23 +88,37 @@ class Line {
     return std::string(text_.substr(start, pos_ - start));
   }
 
+  /// A decimal or 0x-prefixed hexadecimal 32-bit number.
   [[nodiscard]] std::uint32_t number() {
     skip_ws();
-    std::size_t start = pos_;
     int base = 10;
     if (text_.substr(pos_, 2) == "0x") {
       pos_ += 2;
       base = 16;
-      start = pos_;
     }
+    const std::size_t start = pos_;
     while (pos_ < text_.size() &&
-           std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
+           (base == 16 ? std::isxdigit(static_cast<unsigned char>(text_[pos_]))
+                       : std::isdigit(static_cast<unsigned char>(text_[pos_])))) {
       ++pos_;
     }
     if (start == pos_) fail("expected a number");
-    return static_cast<std::uint32_t>(
-        std::strtoul(std::string(text_.substr(start, pos_ - start)).c_str(),
-                     nullptr, base));
+    return parse_u32(text_.substr(start, pos_ - start), base,
+                     std::numeric_limits<std::uint32_t>::max(), "number");
+  }
+
+  /// All of `digits` as a number no greater than `max`; anything else - an
+  /// empty or partly numeric token, or one out of range - fails the line.
+  [[nodiscard]] std::uint32_t parse_u32(std::string_view digits, int base,
+                                        std::uint32_t max,
+                                        const char* what) const {
+    std::uint32_t value = 0;
+    const char* const last = digits.data() + digits.size();
+    const auto [end, ec] = std::from_chars(digits.data(), last, value, base);
+    if (ec != std::errc{} || end != last || value > max) {
+      fail(std::string("bad ") + what + " '" + std::string(digits) + "'");
+    }
+    return value;
   }
 
  private:
@@ -126,28 +147,32 @@ struct Parser {
 
   Operand reg_operand(Line& line) {
     if (line.eat('_')) return Operand{};
-    std::string w = line.word();
-    if (w.empty() || w[0] != 'r') line.fail("expected a register");
-    std::size_t dot = w.find('.');
+    const std::string w = line.word();
+    if (w[0] != 'r') line.fail("expected a register");
+    const std::string_view index = std::string_view(w).substr(1);
+    const std::size_t dot = index.find('.');
     Operand o;
-    o.reg = static_cast<RegId>(std::strtoul(w.substr(1, dot).c_str(), nullptr, 10));
-    if (dot != std::string::npos) {
-      o.comp = static_cast<std::uint8_t>(std::strtoul(w.substr(dot + 1).c_str(), nullptr, 10));
+    o.reg = line.parse_u32(index.substr(0, dot), 10, kMaxIndex, "register");
+    if (dot != std::string_view::npos) {
+      o.comp = static_cast<std::uint8_t>(
+          line.parse_u32(index.substr(dot + 1), 10, 3, "register component"));
     }
     return o;
   }
 
   PredId pred_operand(Line& line, bool* negated = nullptr) {
     if (negated != nullptr) *negated = line.eat('!');
-    std::string w = line.word();
-    if (w.empty() || w[0] != 'p') line.fail("expected a predicate");
-    return static_cast<PredId>(std::strtoul(w.substr(1).c_str(), nullptr, 10));
+    const std::string w = line.word();
+    if (w[0] != 'p') line.fail("expected a predicate");
+    return line.parse_u32(std::string_view(w).substr(1), 10, kMaxIndex,
+                          "predicate");
   }
 
   BlockId block_ref(Line& line) {
-    std::string w = line.word();
-    if (w.empty() || w[0] != 'B') line.fail("expected a block label");
-    return static_cast<BlockId>(std::strtoul(w.substr(1).c_str(), nullptr, 10));
+    const std::string w = line.word();
+    if (w[0] != 'B') line.fail("expected a block label");
+    return line.parse_u32(std::string_view(w).substr(1), 10, kNoBlock - 1,
+                          "block label");
   }
 
   /// "[rX+imm]" or "[_+imm]"

@@ -84,6 +84,17 @@ struct ResidentBlock {
   /// it replaces has completed.
   std::vector<std::uint64_t> load_ring;
   std::vector<std::uint32_t> load_ring_pos;  ///< per warp
+  /// Scoreboard watermark, per warp: an upper bound on every reg_ready,
+  /// pred_ready and load_ring entry of the warp (kNever while one of them
+  /// waits on the bucket merge). At or below the SM clock, every value the
+  /// warp reads has landed, so the fast path's probes take the warp's own
+  /// ready_cycle without walking its dependencies (docs/performance.md, "The
+  /// scoreboard watermark"). Every write to those rows raises it; only the
+  /// merge lowers an entry, and it recomputes the bound from the rows.
+  std::vector<std::uint64_t> watermark;
+  void raise_watermark(std::uint32_t w, std::uint64_t when) {
+    watermark[w] = std::max(watermark[w], when);
+  }
   /// Bumped on every dispatch into this slot. A deferred DRAM completion
   /// snapshots the generation it targets; the bucket merge drops the
   /// scoreboard write when the block has since retired (the completion
@@ -423,6 +434,11 @@ class TimedRun {
   [[nodiscard]] std::uint64_t dep_ready_fast(const ResidentBlock& rb,
                                              std::uint32_t w,
                                              const DecodedInstr& d) const;
+  [[gnu::always_inline]] [[nodiscard]] inline std::uint64_t probe_fast(
+      const ResidentBlock& rb, std::uint32_t w, const DecodedInstr& d,
+      std::uint64_t now) const;
+  [[nodiscard]] std::uint64_t row_maximum(const ResidentBlock& rb,
+                                          std::uint32_t w) const;
   void set_slot_ready(ResidentBlock& rb, std::uint32_t w, std::uint32_t slot,
                       std::uint32_t words, std::uint64_t when,
                       std::uint8_t reason) const;
@@ -584,6 +600,7 @@ void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
       static_cast<std::size_t>(prog_.num_preds) * warps_per_block_, 0);
   rb.load_ring.assign(static_cast<std::size_t>(mshr_) * warps_per_block_, 0);
   rb.load_ring_pos.assign(warps_per_block_, 0);
+  rb.watermark.assign(warps_per_block_, 0);
   rb.ready_cache.assign(warps_per_block_, 0);
   rb.ready_state.assign(warps_per_block_, kReadyInvalid);
   if (classify_) {
@@ -659,11 +676,41 @@ std::uint64_t TimedRun::dep_ready_fast(const ResidentBlock& rb,
   return ready;
 }
 
+// The fast path's probe of warp w's next instruction `d` at SM cycle `now`.
+// Callers read a result at or below `now` only as "ready"; above `now` it is
+// exact. A watermark at or below `now` bounds every dependency, so the
+// warp's own ready_cycle decides: it is the exact value when above `now`,
+// and otherwise both forms are at or below `now`.
+std::uint64_t TimedRun::probe_fast(const ResidentBlock& rb, std::uint32_t w,
+                                   const DecodedInstr& d,
+                                   std::uint64_t now) const {
+  const std::uint64_t warp_ready = rb.exec->warp(w).ready_cycle;
+  if (rb.watermark[w] <= now) return warp_ready;
+  return std::max(warp_ready, dep_ready_fast(rb, w, d));
+}
+
+// Warp w's tightest watermark: the maximum over its scoreboard rows.
+std::uint64_t TimedRun::row_maximum(const ResidentBlock& rb,
+                                    std::uint32_t w) const {
+  std::uint64_t bound = 0;
+  const auto rows = [&](const std::vector<std::uint64_t>& v,
+                        std::size_t per_warp) {
+    for (std::size_t k = w * per_warp; k < (w + 1) * per_warp; ++k) {
+      bound = std::max(bound, v[k]);
+    }
+  };
+  rows(rb.reg_ready, prog_.reg_file_size);
+  rows(rb.pred_ready, prog_.num_preds);
+  rows(rb.load_ring, mshr_);
+  return bound;
+}
+
 void TimedRun::set_slot_ready(ResidentBlock& rb, std::uint32_t w,
                               std::uint32_t slot, std::uint32_t words,
                               std::uint64_t when, std::uint8_t reason) const {
   rb.ready_state[w] = kReadyInvalid;
   if (slot == kNoSlot) return;
+  rb.raise_watermark(w, when);
   const std::size_t rbase = static_cast<std::size_t>(w) * prog_.reg_file_size;
   for (std::uint32_t c = 0; c < words; ++c) {
     rb.reg_ready[rbase + slot + c] = when;
@@ -703,8 +750,7 @@ TimedRun::Pick TimedRun::pick_warp(Sm& sm) const {
         rb.ready_state[w] = kReadySkip;
         continue;
       }
-      ready_at =
-          std::max(rb.exec->warp(w).ready_cycle, dep_ready_fast(rb, w, *din));
+      ready_at = probe_fast(rb, w, *din, sm.cycle);
       if (ready_at > sm.cycle) {
         // Only a probe that is not chosen now is worth caching: a chosen
         // one is invalidated by its own issue in this same step, the
@@ -964,10 +1010,9 @@ void TimedRun::issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
     }
     BlockExec& exec = *rb.exec;
     const WarpState& ws = exec.warp(w);
-    const std::uint64_t ready_at =
-        rb.ready_state[w] == kReadyCached
-            ? rb.ready_cache[w]
-            : std::max(ws.ready_cycle, dep_ready_fast(rb, w, *d));
+    const std::uint64_t ready_at = rb.ready_state[w] == kReadyCached
+                                       ? rb.ready_cache[w]
+                                       : probe_fast(rb, w, *d, sm.cycle);
     if (ready_at > sm.cycle) return;
     IssueView iv;
     iv.slot = slot;
@@ -1003,8 +1048,9 @@ void TimedRun::charge_alu(Sm& sm, ResidentBlock& rb, WarpState& ws,
   set_slot_ready(rb, w, dst_slot, 1, sm.cycle + t_.alu_result_latency_cycles,
                  kRsnPipeline);
   if (pdst != kNoPred) {
-    rb.pred_ready[static_cast<std::size_t>(w) * prog_.num_preds + pdst] =
-        sm.cycle + t_.alu_result_latency_cycles;
+    const std::uint64_t when = sm.cycle + t_.alu_result_latency_cycles;
+    rb.pred_ready[static_cast<std::size_t>(w) * prog_.num_preds + pdst] = when;
+    rb.raise_watermark(w, when);
   }
 }
 
@@ -1193,6 +1239,7 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                          kRsnGlobal);
           const std::size_t ring_base = static_cast<std::size_t>(w) * mshr_;
           rb.load_ring[ring_base + rb.load_ring_pos[w]] = data_back;
+          rb.raise_watermark(w, data_back);
           rb.load_ring_pos[w] = (rb.load_ring_pos[w] + 1) % mshr_;
         }
         break;
@@ -1217,6 +1264,7 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
         r.ring_idx =
             static_cast<std::uint32_t>(ring_base + rb.load_ring_pos[w]);
         rb.load_ring[r.ring_idx] = kNever;
+        rb.raise_watermark(w, kNever);
         rb.load_ring_pos[w] = (rb.load_ring_pos[w] + 1) % mshr_;
       }
       reqs_[sm_id].push_back(r);
@@ -1448,6 +1496,10 @@ void TimedRun::merge_deferred() {
         set_slot_ready(rb, r.warp, r.dst_slot, r.width_words, value,
                        queued ? kRsnDramBusy : r.base_reason);
         if (r.ring_idx != kNoRing) rb.load_ring[r.ring_idx] = value;
+        // The only write that lowers an entry (from kNever). A warp's
+        // requests can resolve out of issue order - this value may lie below
+        // one merged before it - so the bound comes from the rows.
+        rb.watermark[r.warp] = row_maximum(rb, r.warp);
       }
     }
   }

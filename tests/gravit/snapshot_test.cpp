@@ -1,11 +1,17 @@
 // Snapshot/recording tests: byte-exact round trips, corruption rejection,
 // trajectory bookkeeping.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <string>
 
 #include "gravit/integrator.hpp"
 #include "gravit/snapshot.hpp"
@@ -49,6 +55,46 @@ TEST(Snapshot, RejectsCorruptInput) {
   data.resize(data.size() - 10);
   std::stringstream bad3(data);
   EXPECT_THROW((void)read_snapshot(bad3), vgpu::ContractViolation);
+}
+
+// A 12-byte stream whose header claims 2^31 particles (56 GiB of payload)
+// must be rejected as truncated, not sized into an allocation. It is read
+// in a forked child whose address space is capped at 1 GiB, so an
+// allocation sized from the header fails there as bad_alloc instead of
+// taxing the host. Sanitizer runtimes reserve more address space than the
+// cap, so the sanitizer test presets leave this suite out.
+TEST(Snapshot, HeaderCannotSizeTheAllocation) {
+  std::string bytes = "GRV1";
+  const std::uint64_t n = std::uint64_t{1} << 31;
+  bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  ASSERT_EQ(bytes.size(), 12u);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const rlimit cap{rlim_t{1} << 30, rlim_t{1} << 30};
+    int code = 0;
+    if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(6);
+    try {
+      std::istringstream is(bytes);
+      (void)read_snapshot(is);
+      code = 1;
+    } catch (const vgpu::ContractViolation& e) {
+      code = std::string(e.what()).find("truncated snapshot") == std::string::npos
+                 ? 2
+                 : 0;
+    } catch (const std::bad_alloc&) {
+      code = 3;
+    } catch (...) {
+      code = 4;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child ended by signal";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: accepted, 2: another contract violation, 3: bad_alloc, "
+         "4: another exception, 6: setrlimit failed";
 }
 
 TEST(Snapshot, CsvExportHasHeaderAndRows) {

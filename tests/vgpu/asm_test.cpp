@@ -126,6 +126,25 @@ TEST(Assembler, ReportsErrorsWithLineNumbers) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
   }
+  // Indices and numbers are parsed over the whole token and range-checked:
+  // none of these may truncate or wrap into a valid operand, and a huge
+  // register index must not size the register table.
+  for (const char* bad :
+       {"mov.imm r10xyz, 0x1", "mov.imm r4294967306, 0x1",
+        "fadd r1, r35.257, r0", "@p4294967297 mov.imm r1, 0x1",
+        "bra B4294967299", "mov.imm r499999999992, 0x1",
+        "mov.imm r1, 0x100000000"}) {
+    const std::string text =
+        std::string(".kernel k (params=1)\nB0:\n    mov.imm r0, 0x1\n    ") +
+        bad + "\n    exit\n";
+    try {
+      (void)assemble(text);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST(Assembler, PreservesRegionsAndGuards) {

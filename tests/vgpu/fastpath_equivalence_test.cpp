@@ -6,7 +6,8 @@
 // drivers, and a constant-memory kernel - and demands that the pre-decoded
 // fast executor and the reference interpreter produce bit-identical
 // memory results and identical LaunchStats::core() (cycles included) on
-// each of them.
+// each of them. ScoreboardWatermark adds a hand-written launch whose loads
+// complete out of issue order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,6 +19,7 @@
 #include "gravit/spawn.hpp"
 #include "layout/microbench.hpp"
 #include "layout/transform.hpp"
+#include "vgpu/asm.hpp"
 #include "vgpu/builder.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/opt.hpp"
@@ -347,6 +349,80 @@ TEST(FastPathEquivalence, BarrierHeavyKernelBatchedDispatch) {
 
   expect_equivalent(dev, prog, LaunchConfig{n / kBlock, kBlock}, params,
                     DriverModel::kCuda10, bout, n, "barrier-heavy kernel");
+}
+
+// Two global loads of one warp that complete out of issue order. The first
+// is a strided 64-bit load: lanes 1536 B (6 partitions x 256 B) apart, so
+// all 32 of its row segments queue on one DRAM partition, behind the same
+// load of every other SM. The second is a broadcast whose one segment per
+// half-warp lands on a partition three away, which no strided segment uses.
+// The bucket merge resolves them in issue order, the strided value last to
+// land on most SMs. Every address is computed before the loads, and the
+// shared store waits for the broadcast only and writes no register, so when
+// the fadd asks for the strided value the SM clock has passed the
+// broadcast's completion but not the strided one's. A scoreboard watermark
+// that kept the last merged value instead of the maximum over the warp's
+// rows would let the fadd issue early on the fast path.
+constexpr const char* kOutOfOrderLoads = R"(
+.kernel out_of_order_loads  (params=3, shared=256B)
+B0:   // region S
+    mov.special r0, %tid
+    mov.imm r1, 0x600
+    imul r2, r0, r1
+    mov.param r3, param[0]
+    iadd r4, r3, r2
+    mov.param r6, param[1]
+    mov.imm r8, 0x2
+    shl r9, r0, r8
+    mov.special r11, %ctaid
+    mov.special r12, %ntid
+    imul r13, r11, r12
+    iadd r14, r13, r0
+    shl r15, r14, r8
+    mov.param r16, param[2]
+    iadd r17, r16, r15
+    ld.global.64b r5, [r4+0]
+    ld.global.32b r7, [r6+0]
+    st.shared.32b [r9+0], r7
+    fadd r10, r5, r5.1
+    st.global.32b [r17+0], r10
+    exit
+)";
+
+/// One timed launch of kOutOfOrderLoads on a fresh device: 16 blocks of two
+/// warps, one block per SM.
+golden::Digests run_out_of_order_loads(bool reference, std::uint32_t threads) {
+  constexpr std::uint32_t kBlock = 64;
+  constexpr std::uint32_t kBlocks = 16;
+  constexpr std::uint32_t kStrideBytes = 1536;
+  Program prog = assemble(kOutOfOrderLoads);
+  allocate_registers(prog);
+  Device dev(g80_spec(), 1 << 20);
+  std::vector<float> input(kBlock * kStrideBytes / 4);
+  for (std::size_t k = 0; k < input.size(); ++k) {
+    input[k] = static_cast<float>(k % 29) * 0.5f;
+  }
+  const Buffer bin = dev.upload<float>(input);
+  const Buffer bout = dev.malloc_n<float>(kBlocks * kBlock);
+  const std::vector<std::uint32_t> params = {bin.addr, bin.addr + 3 * 256,
+                                             bout.addr};
+  TimingOptions topt;
+  topt.reference = reference;
+  topt.threads = threads;
+  const LaunchStats stats =
+      dev.launch_timed(prog, LaunchConfig{kBlocks, kBlock}, params, topt);
+  return golden::digests(stats, dev.gmem());
+}
+
+TEST(ScoreboardWatermark, OutOfOrderLoadCompletions) {
+  const golden::Digests want =
+      run_out_of_order_loads(/*reference=*/true, /*threads=*/1);
+  for (const bool reference : {false, true}) {
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      EXPECT_EQ(run_out_of_order_loads(reference, threads), want)
+          << (reference ? "reference" : "fast") << ", threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
