@@ -1,8 +1,12 @@
 #include "tune/cache.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "telemetry/json.hpp"
 #include "tune/space.hpp"
@@ -58,11 +62,35 @@ bool driver_from_name(const std::string& s, vgpu::DriverModel* out) {
   return false;
 }
 
+/// Reads a non-negative integer field of at most `max`. JSON numbers parse
+/// as doubles, so anything else - infinity, NaN, a fraction, or a value past
+/// 2^53, where doubles stop holding every integer - is rejected before the
+/// conversion, which would otherwise be undefined or silently truncate.
+bool read_uint(const telemetry::JsonValue& obj, const char* key,
+               std::uint64_t max, std::uint64_t* out) {
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  const telemetry::JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_number()) return false;
+  const double d = v->as_number();
+  if (!(d >= 0.0 && d <= kExactLimit) || std::trunc(d) != d) return false;
+  const auto u = static_cast<std::uint64_t>(d);
+  if (u > max) return false;
+  *out = u;
+  return true;
+}
+
 bool read_u64(const telemetry::JsonValue& obj, const char* key,
               std::uint64_t* out) {
-  const telemetry::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number() || v->as_number() < 0) return false;
-  *out = static_cast<std::uint64_t>(v->as_number());
+  return read_uint(obj, key, std::numeric_limits<std::uint64_t>::max(), out);
+}
+
+bool read_u32(const telemetry::JsonValue& obj, const char* key,
+              std::uint32_t* out) {
+  std::uint64_t v = 0;
+  if (!read_uint(obj, key, std::numeric_limits<std::uint32_t>::max(), &v)) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(v);
   return true;
 }
 
@@ -171,6 +199,9 @@ bool TuningCache::load(const std::string& path) {
   }
   const telemetry::JsonValue* entries = doc->find("entries");
   if (entries == nullptr || !entries->is_array()) return false;
+  // Validate the whole file before merging any of it: a bad entry rejects
+  // the load and leaves the cache as it was.
+  std::vector<Entry> loaded;
   for (const telemetry::JsonValue& je : entries->items()) {
     if (!je.is_object()) return false;
     Entry e;
@@ -187,16 +218,12 @@ bool TuningCache::load(const std::string& path) {
         sampled == nullptr || !sampled->is_bool()) {
       return false;
     }
-    std::uint64_t sim_sms = 0, max_waves = 0, sample_tiles = 0;
-    if (!read_u64(je, "sim_sms", &sim_sms) ||
-        !read_u64(je, "max_waves", &max_waves) ||
-        !read_u64(je, "sample_tiles", &sample_tiles) ||
+    if (!read_u32(je, "sim_sms", &e.key.sim_sms) ||
+        !read_u32(je, "max_waves", &e.key.max_waves) ||
+        !read_u32(je, "sample_tiles", &e.key.sample_tiles) ||
         !read_u64(je, "n_tiles", &e.key.n_tiles)) {
       return false;
     }
-    e.key.sim_sms = static_cast<std::uint32_t>(sim_sms);
-    e.key.max_waves = static_cast<std::uint32_t>(max_waves);
-    e.key.sample_tiles = static_cast<std::uint32_t>(sample_tiles);
     e.value.sampled = sampled->as_bool();
     if (!read_u64(je, "t1", &e.value.t1) || !read_u64(je, "c1", &e.value.c1) ||
         !read_u64(je, "t2", &e.value.t2) || !read_u64(je, "c2", &e.value.c2) ||
@@ -205,14 +232,13 @@ bool TuningCache::load(const std::string& path) {
         !read_u64(je, "blocks", &e.value.blocks)) {
       return false;
     }
-    bool replaced = false;
-    for (Entry& existing : entries_) {
-      if (existing.key == e.key) {
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) entries_.push_back(std::move(e));
+    loaded.push_back(std::move(e));
+  }
+  for (Entry& e : loaded) {
+    const bool present =
+        std::any_of(entries_.begin(), entries_.end(),
+                    [&](const Entry& existing) { return existing.key == e.key; });
+    if (!present) entries_.push_back(std::move(e));
   }
   return true;
 }

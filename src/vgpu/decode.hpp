@@ -89,17 +89,25 @@ struct DecodedInstr {
 
 /// The maximal converged straight-line run starting at an instruction:
 /// `len` consecutive instructions (0 = this instruction cannot be batched)
-/// that are all guard-free register ALU ops — no control flow, no memory
-/// access, no barrier, no predicate write, no clock read. A fully converged
-/// warp can execute the whole run in one dispatch without re-checking its
-/// mask, and the per-instruction accounting the functional executor would
-/// have done step by step is pre-aggregated here. Runs never cross block
-/// boundaries (every block ends in control flow), so the region is single.
+/// that are all guard-free and change no warp state but registers,
+/// predicates and the instruction pointer: register ALU ops, predicate
+/// writers (setp/pand/por/pnot) and shared loads whose address is
+/// warp-uniform (decode.cpp's divergence analysis). No control flow, no
+/// barrier, no store, no other memory access, no clock read. A fully
+/// converged warp can execute the whole run in one dispatch without
+/// re-checking its mask - nothing in it changes the mask - and the
+/// per-instruction accounting the functional executor would have done step
+/// by step is pre-aggregated here. Runs never cross block boundaries (every
+/// block ends in control flow), so the region is single.
 struct DecodedRun {
   std::uint32_t len = 0;
   Region region = Region::kOther;
   /// Dynamic instruction-class histogram of the run (InstrClass order).
   std::array<std::uint32_t, 6> class_counts{};
+  /// Uniform shared loads in the run, by width (shared_width_index order:
+  /// 32, 64, 128 bits). Every one is a broadcast, so its bank-conflict
+  /// degree depends only on its width (uniform_shared_degrees).
+  std::array<std::uint32_t, 3> shared_loads{};
   /// True when the instruction terminating this run (at `start + len`) is a
   /// guard-free memory op a converged warp may execute fused into the same
   /// dispatch (boundary-step fusion, functional executor); fused execution
@@ -124,6 +132,11 @@ struct DecodedProgram {
   }
 };
 
+/// Index of a memory width in DecodedRun::shared_loads.
+[[nodiscard]] inline std::size_t shared_width_index(std::uint32_t words) {
+  return words == 1 ? 0u : words == 2 ? 1u : 2u;
+}
+
 /// Pre-decode a finished program (register layout present). The result
 /// references nothing in `prog` and stays valid independently of it.
 [[nodiscard]] DecodedProgram decode(const Program& prog);
@@ -140,7 +153,9 @@ inline const DecodedInstr* BlockExec::peek_decoded(std::uint32_t w) const {
 
 // Issue without execution: see interp.hpp. The run instructions' values
 // land in step_fast, before the warp's next instruction - the run's
-// terminator - executes; until then only the timing model sees the issue.
+// terminator - executes, or before another warp's shared store when the
+// range holds a shared load; until then only the timing model sees the
+// issue.
 inline const DecodedInstr* BlockExec::issue_timing_only(std::uint32_t w) {
   if (threaded_ == nullptr) return nullptr;
   WarpState& ws = warps_[w];

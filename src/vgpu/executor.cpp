@@ -44,6 +44,19 @@ void count_global_step(const StepResult& res, const DeviceSpec& spec,
   }
 }
 
+std::array<std::uint32_t, 3> uniform_shared_degrees(const DeviceSpec& spec) {
+  const std::array<std::uint32_t, 32> broadcast{};
+  const std::span<const std::uint32_t> lanes(broadcast.data(),
+                                             spec.warp_size);
+  std::array<std::uint32_t, 3> degree{};
+  for (std::uint32_t words = 1, k = 0; k < degree.size(); words *= 2, ++k) {
+    degree[k] = warp_bank_conflict_degree(lanes, kFullMask, words,
+                                          spec.half_warp,
+                                          spec.shared_mem_banks);
+  }
+  return degree;
+}
+
 LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
                            GlobalMemory& gmem, const LaunchConfig& cfg,
                            std::span<const std::uint32_t> params,
@@ -82,7 +95,7 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
         count_global_step(res, spec, opt.driver, stats, scratch, memop);
         break;
       case StepResult::Kind::kShared:
-        count_shared_step(res, stats);
+        count_shared_requests(1, res.shared_conflict_degree, stats);
         break;
       case StepResult::Kind::kLocal:
         ++stats.local_requests;
@@ -103,6 +116,8 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
   // Reused across fused boundary steps; exec_boundary rewrites every field
   // the accounting below reads.
   StepResult fres;
+  const std::array<std::uint32_t, 3> run_shared_degree =
+      uniform_shared_degrees(spec);
 
   // Fast path: one BlockExec reused across the grid (reset() per block);
   // reference path: a fresh BlockExec per block, as the original executor
@@ -140,6 +155,10 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
                 run->len;
             for (std::size_t c = 0; c < run->class_counts.size(); ++c) {
               stats.instr_class_counts[c] += run->class_counts[c];
+            }
+            for (std::size_t k = 0; k < run->shared_loads.size(); ++k) {
+              count_shared_requests(run->shared_loads[k],
+                                    run_shared_degree[k], stats);
             }
             if (fdone) {
               account_step(fres);

@@ -6,6 +6,7 @@
 // (timing.hpp); the two share BlockExec, so they always agree functionally.
 #pragma once
 
+#include <array>
 #include <span>
 
 #include "vgpu/arch.hpp"
@@ -49,16 +50,25 @@ void count_global_step(const StepResult& res, const DeviceSpec& spec,
                        DriverModel driver, LaunchStats& stats,
                        CoalesceResult& scratch, CoalesceMemo* memo = nullptr);
 
-/// Accumulate the shared-memory counters of one step into `stats`: one
-/// request, plus `degree - 1` extra serialization steps when the banks
-/// conflict. This is the single definition both the functional and the
-/// timing executor use, so the two can never drift apart on
+/// Accumulate the shared-memory counters of `n` requests of one conflict
+/// degree into `stats`: one request each, plus `degree - 1` extra
+/// serialization steps each when the banks conflict. This is the single
+/// definition both the functional and the timing executor use, for single
+/// steps and run members alike, so the two can never drift apart on
 /// `shared_requests` / `shared_conflict_extra` for the same kernel.
-inline void count_shared_step(const StepResult& res, LaunchStats& stats) {
-  ++stats.shared_requests;
-  if (res.shared_conflict_degree > 1) {
-    stats.shared_conflict_extra += res.shared_conflict_degree - 1;
-  }
+inline void count_shared_requests(std::uint64_t n, std::uint32_t degree,
+                                  LaunchStats& stats) {
+  stats.shared_requests += n;
+  if (degree > 1) stats.shared_conflict_extra += n * (degree - 1);
 }
+
+/// Bank-conflict degree of a warp-uniform shared load (a run member,
+/// decode.hpp) of each width, in DecodedRun::shared_loads order: the degree
+/// warp_bank_conflict_degree gives a converged warp whose lanes all read one
+/// aligned address. Shifting that address by whole words rotates every
+/// lane's banks alike, so the degree does not depend on it. Executors
+/// compute this once per launch.
+[[nodiscard]] std::array<std::uint32_t, 3> uniform_shared_degrees(
+    const DeviceSpec& spec);
 
 }  // namespace vgpu

@@ -18,9 +18,9 @@ namespace {
 [[nodiscard]] float as_f32(std::uint32_t v) { return std::bit_cast<float>(v); }
 [[nodiscard]] std::uint32_t as_u32(float v) { return std::bit_cast<std::uint32_t>(v); }
 
-// Both interpreter paths and the threaded backend evaluate kSetp through
-// the one shared eval_cmp (opclass.hpp); these aliases keep the call sites
-// below readable.
+// The reference path evaluates kSetp through eval_cmp (opclass.hpp), whose
+// operators the fast path's setp_lanes applies too; these aliases keep the
+// call site below readable.
 [[nodiscard]] bool cmp_u32(CmpOp op, std::uint32_t a, std::uint32_t b) {
   return eval_cmp(op, a, b);
 }
@@ -698,6 +698,7 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
     }
     case Opcode::kLdShared:
     case Opcode::kStShared: {
+      if (d.is_store) execute_pending_shared_loads(ws);
       res.width = d.width;
       res.is_store = d.is_store;
       res.mem_mask = exec;
@@ -829,12 +830,15 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
 
 
 // Batched dispatch over a pre-segmented straight-line run. Inside a run no
-// instruction can read the clock, touch memory, branch, take a guard, or
-// write a predicate, so with a fully converged warp the per-step work of
-// step_fast (guard evaluation, convergence test, StepResult construction)
-// collapses to one call into the compiled run programs. The warp's mask
-// cannot change within the run, so checking convergence once up front is
-// exact.
+// instruction can read the clock, store, touch memory other than a
+// warp-uniform shared load, branch or take a guard, so with a fully
+// converged warp the per-step work of step_fast (guard evaluation,
+// convergence test, StepResult construction) collapses to one call into the
+// compiled run programs. The warp's mask cannot change within the run, so
+// checking convergence once up front is exact, and the run's predicate
+// writes cover the whole mask. The functional executor runs each warp to its
+// barrier in the reference order, so a run's shared loads read what single
+// steps would.
 const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
                                       bool& fused_done) {
   if (threaded_ == nullptr) return nullptr;
@@ -861,9 +865,9 @@ const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
 }
 
 // Compiled dispatch: pre-resolved operand rows, dense handlers, one indirect
-// jump per instruction (threaded.cpp) - or, for a run starting at a compiled
-// trace head, one jump per trace *segment* (traces.cpp). Both are
-// bit-identical to stepping the run through exec_alu.
+// jump per instruction (threaded.cpp) - or, for a whole run starting at a
+// compiled trace head, one jump per trace *segment* (traces.cpp). Both are
+// bit-identical to single-stepping the run through step_fast.
 void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
                          std::uint32_t len) {
   ThreadedCtx ctx;
@@ -875,12 +879,37 @@ void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
   ctx.warp_index = ws.index;
   ctx.base_thread = ws.index * spec_.warp_size;
   ctx.warp_size = spec_.warp_size;
+  ctx.active = ws.active;
+  ctx.shared = smem_.words();
+  ctx.shared_bytes = smem_.size_bytes();
   const std::uint32_t tr = traces_->trace_at[first];
-  if (tr != kNoTrace) {
+  if (tr != kNoTrace && traces_->traces[tr].len == len) {
     exec_trace(*traces_, tr, ws.regs, ws.preds, ctx);
     ++*trace_hits_;
   } else {
     exec_threaded(threaded_->ops.data() + first, len, ws.regs, ws.preds, ctx);
+  }
+}
+
+// Shared memory is block-wide. A load another warp issued for timing only
+// (issue_timing_only) executes at that warp's next step, and a shared store
+// of this warp may come in between, so before it every other warp's pending
+// range that holds a shared load executes: each load then reads what it
+// read at its issue in the reference order. The range may end mid-run, so
+// exec_run takes the threaded loop for it; the warp's later issues open a
+// new pending range mid-run.
+void BlockExec::execute_pending_shared_loads(const WarpState& storer) {
+  const auto loads = [](const DecodedRun& r) {
+    return r.shared_loads[0] + r.shared_loads[1] + r.shared_loads[2];
+  };
+  for (WarpState& other : warps_) {
+    if (&other == &storer || other.pending_len == 0) continue;
+    const std::uint32_t end = other.pending_first + other.pending_len;
+    if (loads(dec_->runs[other.pending_first]) == loads(dec_->runs[end])) {
+      continue;  // no shared load in the range
+    }
+    exec_run(other, other.pending_first, other.pending_len);
+    other.pending_len = 0;
   }
 }
 
@@ -989,19 +1018,12 @@ void BlockExec::exec_boundary(const DecodedInstr& d, WarpState& ws,
       if (has_base && !d.is_store) {
         // The converged-load fast path of step_fast: aggregate
         // alignment/bounds across the warp, then move data through the raw
-        // word array, collapsing broadcasts to one load per word. A
-        // broadcast (every lane at the same address, the dominant shape in
-        // tiled kernels) additionally skips the lane-address array and the
-        // conflict memo: with a full mask the degree is exactly
-        // warp_bank_conflict_degree's ceil(words / banks) - `words`
-        // consecutive word accesses from one address, each bank hit at most
-        // that often - and nothing downstream reads kShared lane addresses.
-        std::uint32_t agg = 0, mx = 0, diff = 0;
-        const std::uint32_t first = ab[0] + d.imm;
+        // word array. (Loads decode proved warp-uniform, the broadcasts of
+        // tiled kernels, join runs instead and never get here.)
+        std::uint32_t agg = 0, mx = 0;
         for (std::uint32_t l = 0; l < warp_size; ++l) {
           const std::uint32_t addr = ab[l] + d.imm;
           agg |= addr;
-          diff |= addr ^ first;
           mx = std::max(mx, addr);
         }
         VGPU_EXPECTS_MSG((agg & (wbytes - 1u)) == 0,
@@ -1011,15 +1033,6 @@ void BlockExec::exec_boundary(const DecodedInstr& d, WarpState& ws,
                          "shared load out of bounds");
         const std::uint32_t* const sp = smem_.words();
         std::uint32_t* const o = row(d.dst_slot);
-        if (diff == 0) {
-          for (std::uint32_t c = 0; c < words; ++c) {
-            const std::uint32_t v = sp[first / 4u + c];
-            for (std::uint32_t l = 0; l < warp_size; ++l) o[c * 32u + l] = v;
-          }
-          out.shared_conflict_degree =
-              (words + spec_.shared_mem_banks - 1u) / spec_.shared_mem_banks;
-          return;
-        }
         for (std::uint32_t l = 0; l < warp_size; ++l) {
           const std::uint32_t addr = ab[l] + d.imm;
           out.lane_addrs[l] = addr;
@@ -1309,48 +1322,27 @@ void BlockExec::exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
 
     // ---- predicates --------------------------------------------------------
     case Opcode::kSetp: {
-      Mask result = 0;
+      // The threaded handlers' compare loop over every lane; the write
+      // keeps the executing lanes' bits only.
       const std::uint32_t* const a = row(d.src_slot[0]);
-      const bool has_reg_b = d.src_slot[1] != kNoSlot;
-      const std::uint32_t* const b = has_reg_b ? row(d.src_slot[1]) : nullptr;
-      // The comparison op is dispatched once, outside the lane loop, to a
-      // branchless cmp-specialized loop (result bits accumulate by shift-or,
-      // not a data-dependent branch); semantics per case are exactly
-      // eval_cmp's operators.
-      auto cmp_loop = [&](auto cmpfn) {
-        if (d.cmp_is_float) {
-          if (has_reg_b) {
-            for_lanes([&](std::uint32_t l) {
-              result |= static_cast<Mask>(cmpfn(as_f32(a[l]), as_f32(b[l])))
-                        << l;
-            });
-          } else {
-            const float bi = as_f32(d.imm);
-            for_lanes([&](std::uint32_t l) {
-              result |= static_cast<Mask>(cmpfn(as_f32(a[l]), bi)) << l;
-            });
-          }
-        } else {
-          if (has_reg_b) {
-            for_lanes([&](std::uint32_t l) {
-              result |= static_cast<Mask>(cmpfn(a[l], b[l])) << l;
-            });
-          } else {
-            const std::uint32_t bi = d.imm;
-            for_lanes([&](std::uint32_t l) {
-              result |= static_cast<Mask>(cmpfn(a[l], bi)) << l;
-            });
-          }
-        }
-      };
-      switch (d.cmp) {
-        case CmpOp::kEq: cmp_loop([](auto x, auto y) { return x == y; }); break;
-        case CmpOp::kNe: cmp_loop([](auto x, auto y) { return x != y; }); break;
-        case CmpOp::kLt: cmp_loop([](auto x, auto y) { return x < y; }); break;
-        case CmpOp::kLe: cmp_loop([](auto x, auto y) { return x <= y; }); break;
-        case CmpOp::kGt: cmp_loop([](auto x, auto y) { return x > y; }); break;
-        case CmpOp::kGe: cmp_loop([](auto x, auto y) { return x >= y; }); break;
-      }
+      const std::uint32_t* const b =
+          d.src_slot[1] != kNoSlot ? row(d.src_slot[1]) : nullptr;
+      const auto fa = [a](std::uint32_t l) { return as_f32(a[l]); };
+      const auto ua = [a](std::uint32_t l) { return a[l]; };
+      const float fi = as_f32(d.imm);
+      const std::uint32_t ui = d.imm;
+      const Mask result =
+          d.cmp_is_float
+              ? (b != nullptr
+                     ? setp_lanes(d.cmp, warp_size, fa,
+                                  [b](std::uint32_t l) { return as_f32(b[l]); })
+                     : setp_lanes(d.cmp, warp_size, fa,
+                                  [fi](std::uint32_t) { return fi; }))
+              : (b != nullptr
+                     ? setp_lanes(d.cmp, warp_size, ua,
+                                  [b](std::uint32_t l) { return b[l]; })
+                     : setp_lanes(d.cmp, warp_size, ua,
+                                  [ui](std::uint32_t) { return ui; }));
       ws.preds[d.pdst] = (ws.preds[d.pdst] & ~exec) | (result & exec);
       break;
     }

@@ -149,12 +149,15 @@ class BlockExec {
   /// instruction is not in a run. Defined inline in decode.hpp, where
   /// DecodedProgram is complete: it runs once per issued run instruction.
   ///
-  /// A run touches no memory and writes no predicate, and a warp's mask
-  /// changes only at branches, so a warp converged at a run instruction was
-  /// converged at the run's head and issues the whole run this way. Its
-  /// values are first read by the warp's own next step() - the run's
-  /// terminator - which executes the pending range first, once, through the
-  /// same compiled programs as step_run.
+  /// A warp's mask changes only at branches, so a warp converged at a run
+  /// instruction was converged at the run's head and issues the whole run
+  /// this way. A run writes only the warp's own registers and predicates,
+  /// first read by the warp's own next step() - the run's terminator -
+  /// which executes the pending range first, once, through the same
+  /// compiled programs as step_run. Its one outside input, a warp-uniform
+  /// shared load, is kept exact by the shared store of another warp, which
+  /// executes the pending range before it writes
+  /// (execute_pending_shared_loads).
   inline const DecodedInstr* issue_timing_only(std::uint32_t w);
 
   /// Batched dispatch (the functional executor's fast path): when warp `w`
@@ -163,10 +166,12 @@ class BlockExec {
   /// pre-aggregated accounting; returns nullptr when batching does not
   /// apply (no run programs installed, warp done or at a barrier, divergent
   /// mask, or a zero-length run) and the caller must fall back to step().
-  /// Runs contain no clock reads, no memory accesses and no control flow,
-  /// so no `now` is needed and no StepResult is produced; `issued` and `ip`
-  /// advance by the run length, keeping the functional executor's
-  /// pseudo-time identical to single stepping.
+  /// Runs contain no clock reads, no stores, no memory access but
+  /// warp-uniform shared loads, and no control flow, so no `now` is needed
+  /// and no StepResult is produced (the caller accounts the run's shared
+  /// loads from DecodedRun::shared_loads); `issued` and `ip` advance by the
+  /// run length, keeping the functional executor's pseudo-time identical to
+  /// single stepping.
   ///
   /// Boundary-step fusion: when the run's terminator is a fusable memory
   /// op (DecodedRun::fuse_boundary), the terminator executes in the same
@@ -230,9 +235,13 @@ class BlockExec {
   /// caller-owned StepResult. Effects are exactly step_fast's.
   void exec_boundary(const DecodedInstr& d, WarpState& ws, StepResult& out);
   /// Execute `len` decoded instructions from `first` on a converged warp
-  /// through the installed run programs: the superblock trace at a trace
-  /// head, else the threaded loop.
+  /// through the installed run programs: the superblock trace for a whole
+  /// run from a trace head, else the threaded loop.
   void exec_run(WarpState& ws, std::uint32_t first, std::uint32_t len);
+  /// Before a shared store of `storer`: execute every other warp's pending
+  /// range that holds a shared load (the timing executor's one cross-warp
+  /// hazard; see interp.cpp).
+  void execute_pending_shared_loads(const WarpState& storer);
   /// Architectural effects of one decoded register-ALU instruction (the
   /// batchable subset plus the clock/special reads step_fast routes here).
   void exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "vgpu/interp.hpp"
 #include "vgpu/ir.hpp"
@@ -24,8 +25,10 @@ inline constexpr std::size_t kOpcodeCount =
     static_cast<std::size_t>(Opcode::kClock) + 1;
 
 /// Static per-opcode metadata. `run_eligible` is the opcode-level half of
-/// decode.cpp's batchable(): the per-instruction checks (guard, predicate
-/// destination, the %clock special) still apply on top of it.
+/// decode.cpp's batchable(): the per-instruction checks (guard, the %clock
+/// special) still apply on top of it. kLdShared is eligible per
+/// instruction, not per opcode - only when its address is warp-uniform - so
+/// its column stays false here.
 struct OpTraits {
   StepResult::Kind kind = StepResult::Kind::kAlu;
   InstrClass klass = InstrClass::kOther;
@@ -79,12 +82,13 @@ consteval std::array<OpTraits, kOpcodeCount> make_op_traits() {
   alu(Opcode::kMovSpecial, C::kOther);  // %clock excluded per-instruction
   alu(Opcode::kMovParam, C::kOther);
   alu(Opcode::kSel, C::kOther);
-  // Predicate writers: kAlu kind, never inside a run. They bucket with
-  // control in the profiling classes - they exist to steer branches.
-  set(Opcode::kSetp, OpTraits{K::kAlu, C::kControl});
-  set(Opcode::kPAnd, OpTraits{K::kAlu, C::kControl});
-  set(Opcode::kPOr, OpTraits{K::kAlu, C::kControl});
-  set(Opcode::kPNot, OpTraits{K::kAlu, C::kControl});
+  // Predicate writers: kAlu kind and run-eligible - a converged warp's
+  // predicate write covers its whole active mask. They bucket with control
+  // in the profiling classes - they exist to steer branches.
+  alu(Opcode::kSetp, C::kControl);
+  alu(Opcode::kPAnd, C::kControl);
+  alu(Opcode::kPOr, C::kControl);
+  alu(Opcode::kPNot, C::kControl);
   set(Opcode::kClock, OpTraits{K::kAlu, C::kOther});  // issue-cycle dependent
   // Memory.
   set(Opcode::kLdGlobal,
@@ -129,9 +133,9 @@ inline constexpr std::array<OpTraits, kOpcodeCount> kOpTraits =
   return op_traits(op).klass;
 }
 
-/// The kSetp comparison, shared by the reference interpreter, the decoded
-/// fast path and the threaded backend (instantiated for std::uint32_t and
-/// float - the two compare domains the IR has).
+/// The kSetp comparison of the reference interpreter (instantiated for
+/// std::uint32_t and float - the two compare domains the IR has); the fast
+/// path's setp_lanes below applies the same operators lane by lane.
 template <typename T>
 [[nodiscard]] constexpr bool eval_cmp(CmpOp op, T a, T b) {
   switch (op) {
@@ -143,6 +147,31 @@ template <typename T>
     case CmpOp::kGe: return a >= b;
   }
   return false;
+}
+
+/// The kSetp lane loop, shared by exec_alu and the threaded handlers: the
+/// comparison is dispatched once, outside the loop, to a branchless loop
+/// that accumulates lane l's bit by shift-or - eval_cmp's operators, one
+/// loop per operator. `at_a(l)`/`at_b(l)` give lane l's operands in the
+/// compare domain; bits from `lanes` up stay clear.
+template <typename AtA, typename AtB>
+[[nodiscard]] inline std::uint32_t setp_lanes(CmpOp cmp, std::uint32_t lanes,
+                                              AtA at_a, AtB at_b) {
+  std::uint32_t r = 0;
+  const auto loop = [&](auto f) {
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      r |= static_cast<std::uint32_t>(f(at_a(l), at_b(l))) << l;
+    }
+  };
+  switch (cmp) {
+    case CmpOp::kEq: loop([](auto x, auto y) { return x == y; }); break;
+    case CmpOp::kNe: loop([](auto x, auto y) { return x != y; }); break;
+    case CmpOp::kLt: loop([](auto x, auto y) { return x < y; }); break;
+    case CmpOp::kLe: loop([](auto x, auto y) { return x <= y; }); break;
+    case CmpOp::kGt: loop([](auto x, auto y) { return x > y; }); break;
+    case CmpOp::kGe: loop([](auto x, auto y) { return x >= y; }); break;
+  }
+  return r;
 }
 
 }  // namespace vgpu

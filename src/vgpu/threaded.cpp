@@ -6,6 +6,7 @@
 
 #include "vgpu/check.hpp"
 #include "vgpu/decode.hpp"
+#include "vgpu/opclass.hpp"
 
 namespace vgpu {
 
@@ -20,20 +21,21 @@ namespace {
 // expanded into both dispatch loops here (computed goto and portable
 // switch) plus the superblock trace dispatcher (traces.cpp). The bodies are
 // the expressions of the corresponding exec_alu cases in interp.cpp
-// verbatim - the differential suites hold every loop bit-identical. A body
-// may read `op` (the current ThreadedOp), `R` (lane storage), `preds`,
-// `ctx`, and the lane count `lanes` (a compile-time 32 on the warp-size-32
-// instantiation, which is what lets the compiler unroll/vectorize the lane
-// loops).
+// verbatim, and the uniform shared load keeps step_fast's contracts - the
+// differential suites hold every loop bit-identical. A body may read `op`
+// (the current ThreadedOp), `R` (lane storage), `preds` (the predicate
+// file, which the predicate writers also write), `ctx`, and the lane count
+// `lanes` (a compile-time 32 on the warp-size-32 instantiation, which is
+// what lets the compiler unroll/vectorize the lane loops).
 #include "vgpu/threaded_handlers.inc"
 
 // Portable fallback: one dense switch over the handler index per
 // instruction. Still much faster than exec_alu - operands are pre-resolved
-// rows and the switch is over a dense 0..34 index, not the sparse opcode
+// rows and the switch is over a dense handler index, not the sparse opcode
 // space with per-case slot arithmetic.
 template <bool kWarp32>
 void exec_switch(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* R,
-                 const std::uint32_t* preds, const ThreadedCtx& ctx) {
+                 std::uint32_t* preds, const ThreadedCtx& ctx) {
   const std::uint32_t lanes = kWarp32 ? 32u : ctx.warp_size;
   const ThreadedOp* const end = ops + n;
   for (const ThreadedOp* op = ops; op != end; ++op) {
@@ -62,7 +64,7 @@ void exec_switch(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* R,
 #endif
 template <bool kWarp32>
 void exec_goto(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* R,
-               const std::uint32_t* preds, const ThreadedCtx& ctx) {
+               std::uint32_t* preds, const ThreadedCtx& ctx) {
   const std::uint32_t lanes = kWarp32 ? 32u : ctx.warp_size;
 #define X(name, ...) &&L_##name,
   static const void* const labels[] = {VGPU_THREADED_HANDLERS(X)};
@@ -132,6 +134,32 @@ ThreadedProgram build_threaded(const DecodedProgram& dec) {
         h = THandler::kSel;
         op.c = d.psrc0;  // predicate index, not a register row
         break;
+      case Opcode::kSetp:
+        // The predicate index and the compare, not register rows.
+        h = d.cmp_is_float ? (d.src_slot[1] != kNoSlot ? THandler::kSetpF
+                                                       : THandler::kSetpFI)
+                           : (d.src_slot[1] != kNoSlot ? THandler::kSetpU
+                                                       : THandler::kSetpUI);
+        op.dst = d.pdst;
+        op.c = static_cast<std::uint32_t>(d.cmp);
+        break;
+      case Opcode::kPAnd:
+      case Opcode::kPOr:
+      case Opcode::kPNot:
+        h = d.op == Opcode::kPAnd  ? THandler::kPAnd
+            : d.op == Opcode::kPOr ? THandler::kPOr
+                                   : THandler::kPNot;
+        op.dst = d.pdst;  // predicate indices, not register rows
+        op.a = d.psrc0;
+        op.b = d.op == Opcode::kPNot ? 0u : d.psrc1;
+        break;
+      case Opcode::kLdShared:
+        // decode() admits a shared load to a run only with a warp-uniform
+        // address (or none: an absolute immediate).
+        h = THandler::kLdSharedU;
+        op.b = d.src_slot[0] != kNoSlot ? 1u : 0u;
+        op.c = d.width_words;
+        break;
       case Opcode::kMovSpecial:
         switch (static_cast<Special>(d.imm)) {
           case Special::kTid: h = THandler::kTid; break;
@@ -156,7 +184,7 @@ ThreadedProgram build_threaded(const DecodedProgram& dec) {
 }
 
 void exec_threaded(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* regs,
-                   const std::uint32_t* preds, const ThreadedCtx& ctx) {
+                   std::uint32_t* preds, const ThreadedCtx& ctx) {
   if (n == 0) return;
 #if defined(VGPU_HAVE_COMPUTED_GOTO)
   if (ctx.warp_size == 32) {
@@ -170,7 +198,7 @@ void exec_threaded(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* regs,
 }
 
 void exec_threaded_portable(const ThreadedOp* ops, std::uint32_t n,
-                            std::uint32_t* regs, const std::uint32_t* preds,
+                            std::uint32_t* regs, std::uint32_t* preds,
                             const ThreadedCtx& ctx) {
   if (n == 0) return;
   if (ctx.warp_size == 32) {

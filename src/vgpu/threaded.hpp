@@ -14,13 +14,15 @@
 // probe in src/vgpu/CMakeLists.txt compiles; GCM_PORTABLE_DISPATCH=ON
 // forces the fallback).
 //
-// Both dispatch loops are required to be bit-identical to exec_alu, which
+// Both dispatch loops are required to be bit-identical to step_fast, which
 // still single-steps the same opcodes for divergent warps and guarded
-// instructions; the handler bodies are the exact expressions of the
-// corresponding exec_alu cases. threaded_dispatch_test runs the two loops
-// side by side over every handler, and the differential suites
-// (fuzz_differential_test, fastpath_equivalence_test) compare both
-// executors, which run them, against the reference interpreter.
+// instructions; the ALU and predicate handler bodies are the exact
+// expressions of the corresponding exec_alu cases, and the uniform shared
+// load keeps step_fast's alignment and bounds contracts.
+// threaded_dispatch_test runs the two loops side by side over every
+// handler, and the differential suites (fuzz_differential_test,
+// fastpath_equivalence_test) compare both executors, which run them,
+// against the reference interpreter.
 #pragma once
 
 #include <cstdint>
@@ -32,14 +34,17 @@ namespace vgpu {
 
 struct DecodedProgram;
 
-/// Dense handler set of the threaded executor: exactly the run-eligible
-/// opcodes (opclass.hpp), with kMovSpecial split per special register so
-/// the special select happens at compile time, not per lane.
+/// Dense handler set of the threaded executor: exactly the run members
+/// (decode.hpp, DecodedRun) - the run-eligible opcodes of opclass.hpp plus
+/// the warp-uniform shared load - with kMovSpecial split per special
+/// register and kSetp per compare domain and second-operand kind, so those
+/// selects happen at compile time, not per lane.
 enum class THandler : std::uint8_t {
   kFAdd, kFSub, kFMul, kFFma, kFRcp, kFRsqrt, kFNeg, kFAbs, kFMin, kFMax,
   kIAdd, kISub, kIMul, kIMad, kIAddImm, kShl, kShr, kAnd, kOr, kXor,
   kIMin, kIMax, kF2I, kI2F, kMov, kMovImm, kMovParam, kSel,
   kTid, kCtaid, kNtid, kNctaid, kLane, kWarpId, kSmId,
+  kSetpU, kSetpUI, kSetpF, kSetpFI, kPAnd, kPOr, kPNot, kLdSharedU,
   kCount
 };
 
@@ -47,9 +52,12 @@ inline constexpr std::size_t kTHandlerCount =
     static_cast<std::size_t>(THandler::kCount);
 
 /// One compiled instruction. `dst`/`a`/`b`/`c` are register-file row
-/// offsets (slot * 32, ready to add to WarpState::regs); `c` doubles as the
-/// predicate source index for kSel. Only positions inside a decoded run
-/// hold a valid entry.
+/// offsets (slot * 32, ready to add to WarpState::regs), except where a
+/// handler reads them as something else: `c` is the predicate source index
+/// for kSel and the CmpOp for kSetp*; the predicate writers' `dst` (and
+/// kPAnd/kPOr/kPNot's `a`/`b`) are predicate indices; kLdSharedU's `b` is 1
+/// when the address has a base register (`a`) and `c` its width in words.
+/// Only positions inside a decoded run hold a valid entry.
 struct ThreadedOp {
   std::uint32_t dst = 0;
   std::uint32_t a = 0;
@@ -66,9 +74,9 @@ struct ThreadedProgram {
 };
 
 /// Per-run execution context: everything a handler can read besides the
-/// register file. Parameters are resolved at execution time, never at
-/// compile time, so one ThreadedProgram serves launches with different
-/// parameter blocks (the decode cache depends on this).
+/// register and predicate files. Parameters are resolved at execution time,
+/// never at compile time, so one ThreadedProgram serves launches with
+/// different parameter blocks (the decode cache depends on this).
 struct ThreadedCtx {
   const std::uint32_t* params = nullptr;
   std::uint32_t block_id = 0;
@@ -78,6 +86,12 @@ struct ThreadedCtx {
   std::uint32_t warp_index = 0;
   std::uint32_t base_thread = 0;
   std::uint32_t warp_size = 32;
+  /// The warp's active mask: a predicate write is (p & ~active) |
+  /// (result & active), exec_alu's write for a converged warp.
+  std::uint32_t active = 0xFFFFFFFFu;
+  /// The block's shared memory words, `shared_bytes` long (kLdSharedU).
+  const std::uint32_t* shared = nullptr;
+  std::uint32_t shared_bytes = 0;
 };
 
 /// Compile the batchable instructions of a decoded program. Entries outside
@@ -85,17 +99,17 @@ struct ThreadedCtx {
 [[nodiscard]] ThreadedProgram build_threaded(const DecodedProgram& dec);
 
 /// Execute `n` compiled instructions on a fully converged warp (`regs` is
-/// the warp's lane storage, `preds` its predicate file - read-only: no
-/// batchable op writes predicates). Dispatches through computed goto when
-/// the build has it, else through the portable loop.
+/// the warp's lane storage, `preds` its predicate file: run members write
+/// both, and read shared memory through `ctx`). Dispatches through
+/// computed goto when the build has it, else through the portable loop.
 void exec_threaded(const ThreadedOp* ops, std::uint32_t n,
-                   std::uint32_t* regs, const std::uint32_t* preds,
+                   std::uint32_t* regs, std::uint32_t* preds,
                    const ThreadedCtx& ctx);
 
 /// The portable dense-switch twin, always compiled so the fallback is
 /// differential-tested even on builds that default to computed goto.
 void exec_threaded_portable(const ThreadedOp* ops, std::uint32_t n,
-                            std::uint32_t* regs, const std::uint32_t* preds,
+                            std::uint32_t* regs, std::uint32_t* preds,
                             const ThreadedCtx& ctx);
 
 /// "computed-goto" or "switch": what exec_threaded dispatches through in

@@ -458,17 +458,21 @@ class TimedRun {
                                           std::uint64_t next_event) const;
   void charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                     std::uint64_t next_event);
-  void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
-  void issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
+  /// One generic step: the barrier-release scan, the pick (`handed`, when
+  /// the in-run loop already chose the candidate, else pick_warp) and the
+  /// issue.
+  void sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx, Pick handed);
+  [[nodiscard]] Pick issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx);
   /// Prices and accounts one issued instruction: the SM clock, scoreboard
   /// and memory pipeline for `res.kind`, the counters, attribution and the
   /// IssueSpan.
   void account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                      const IssueView& iv, const StepResult& res);
   // account_issue for a run instruction issued for timing only - its kAlu
-  // path, priced from the decoded form - and the pieces every issue's
-  // accounting is made of, in order. They run once per warp instruction, so
-  // they are forced inline into sm_step and the in-run loop.
+  // path, or its kShared path for a warp-uniform shared load, priced from
+  // the decoded form - and the pieces every issue's accounting is made of,
+  // in order. They run once per warp instruction, so they are forced inline
+  // into sm_step and the in-run loop.
   [[gnu::always_inline]] inline void account_run_issue(
       Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx, const IssueView& iv,
       const DecodedInstr& d);
@@ -481,6 +485,11 @@ class TimedRun {
                                                 WarpState& ws, std::uint32_t w,
                                                 std::uint32_t dst_slot,
                                                 PredId pdst) const;
+  [[gnu::always_inline]] inline void charge_shared(Sm& sm, WorkerCtx& ctx,
+                                                   ResidentBlock& rb,
+                                                   WarpState& ws,
+                                                   const IssueView& iv,
+                                                   std::uint32_t degree) const;
   [[gnu::always_inline]] inline void end_issue(Sm& sm, std::uint32_t sm_id,
                                                WorkerCtx& ctx,
                                                const IssueView& iv,
@@ -542,6 +551,8 @@ class TimedRun {
   double channel_cycles_per_byte_ = 0.0;
   std::shared_ptr<const CompiledKernel> ck_;  ///< fast path only
   const DecodedProgram* decp_ = nullptr;
+  /// Conflict degree of a run's warp-uniform shared load, by width.
+  std::array<std::uint32_t, 3> run_shared_degree_{};
 
   // Run state.
   std::vector<Sm> sms_;
@@ -893,7 +904,8 @@ void TimedRun::charge_stall(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
   sm.cycle = next_event;
 }
 
-void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
+void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
+                       Pick handed) {
   // 1. release any satisfiable barriers. Only a step reaching a barrier or
   // exit, or a dispatch, can change a warp's done/at-barrier state, and
   // both dirty the flag, so the fast path elides the scan until then; the
@@ -923,8 +935,10 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
     sm.barrier_dirty = false;
   }
 
-  // 2. pick an issueable warp
-  const Pick pick = pick_warp(sm);
+  // 2. pick an issueable warp. A pick handed over by the in-run loop is
+  // pick_warp's own answer (see issue_runs), and comes only while the scan
+  // above is elided.
+  const Pick pick = handed.chosen ? handed : pick_warp(sm);
   if (!pick.chosen) {
     if (pick.pending && pick.next_event >= bucket_end_) {
       // A candidate waits on an in-flight DRAM value whose exact arrival is
@@ -983,12 +997,16 @@ void TimedRun::sm_step(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
 // round-robin order, so a ready first candidate is its pick - without the
 // generic pick and step. It returns at the first candidate that is not
 // ready, outside a run or divergent, and at the bucket end; sm_step takes
-// the next step from there. Done and barrier-parked warps are passed over
-// and marked kReadySkip, exactly as a probe marks them; no other probe is
-// cached. Callers run it only while the barrier-release scan is elided
-// (barrier_dirty clear), and a timing-only issue never dirties it, so
-// sm_step's first stage has nothing to do before any of these steps.
-void TimedRun::issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
+// the next step from there. A ready candidate outside a run or divergent is
+// returned as the pick: every candidate before it is skip-marked, so it is
+// the one pick_warp would probe again and choose. Done and barrier-parked
+// warps are passed over and marked kReadySkip, exactly as a probe marks
+// them; no other probe is cached. Callers run it only while the
+// barrier-release scan is elided (barrier_dirty clear), and a timing-only
+// issue never dirties it, so sm_step's first stage has nothing to do before
+// any of these steps.
+TimedRun::Pick TimedRun::issue_runs(Sm& sm, std::uint32_t sm_id,
+                                    WorkerCtx& ctx) {
   const std::uint32_t total =
       static_cast<std::uint32_t>(sm.slots.size()) * warps_per_block_;
   std::uint32_t slot = sm.rr_slot;
@@ -1013,20 +1031,28 @@ void TimedRun::issue_runs(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
     const std::uint64_t ready_at = rb.ready_state[w] == kReadyCached
                                        ? rb.ready_cache[w]
                                        : probe_fast(rb, w, *d, sm.cycle);
-    if (ready_at > sm.cycle) return;
+    if (ready_at > sm.cycle) return Pick{};
     IssueView iv;
     iv.slot = slot;
     iv.w = w;
     iv.start = sm.cycle;
     if (attr_) iv.pc = decp_->block_start[ws.block] + ws.ip;
     d = exec.issue_timing_only(w);
-    if (d == nullptr) return;  // outside a run or divergent: nothing changed
+    if (d == nullptr) {
+      // Outside a run or divergent: nothing changed, and this is the pick.
+      Pick pick;
+      pick.chosen = true;
+      pick.slot = slot;
+      pick.warp = w;
+      return pick;
+    }
     next_candidate(sm, slot, w);
     sm.rr_slot = slot;
     sm.rr_warp = w;
     passed = 0;
     account_run_issue(sm, sm_id, ctx, iv, *d);
   }
+  return Pick{};
 }
 
 void TimedRun::begin_issue(ResidentBlock& rb, std::uint32_t w,
@@ -1072,11 +1098,43 @@ void TimedRun::end_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
   }
 }
 
+// A shared-memory issue: its counters and per-PC attribution, `degree`
+// serialized issue slots, and a load's value after the shared latency.
+void TimedRun::charge_shared(Sm& sm, WorkerCtx& ctx, ResidentBlock& rb,
+                             WarpState& ws, const IssueView& iv,
+                             std::uint32_t degree) const {
+  count_shared_requests(1, degree, ctx.stats);
+  if (attr_) {
+    PcAttribution& a = ctx.attr[iv.pc];
+    ++a.shared_requests;
+    if (degree > 1) a.shared_conflict_extra += degree - 1;
+  }
+  sm.cycle += static_cast<std::uint64_t>(t_.shared_issue_cycles) *
+              std::max(1u, degree);
+  ws.ready_cycle = sm.cycle;
+  if (iv.is_load) {
+    set_slot_ready(rb, iv.w, iv.dst_slot, iv.width_words,
+                   sm.cycle + t_.shared_result_latency_cycles, kRsnShared);
+  }
+}
+
 void TimedRun::account_run_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
                                  const IssueView& iv, const DecodedInstr& d) {
   ResidentBlock& rb = sm.slots[iv.slot];
+  WarpState& ws = rb.exec->warp(iv.w);
   begin_issue(rb, iv.w, ctx.stats, d.region, d.op);
-  charge_alu(sm, rb, rb.exec->warp(iv.w), iv.w, d.dst_slot, d.pdst);
+  if (d.kind == StepResult::Kind::kShared) {
+    // A warp-uniform shared load: a broadcast, whose conflict degree
+    // depends only on its width.
+    IssueView load = iv;
+    load.dst_slot = d.dst_slot;
+    load.width_words = d.width_words;
+    load.is_load = true;
+    charge_shared(sm, ctx, rb, ws, load,
+                  run_shared_degree_[shared_width_index(d.width_words)]);
+  } else {
+    charge_alu(sm, rb, ws, iv.w, d.dst_slot, d.pdst);
+  }
   end_issue(sm, sm_id, ctx, iv, rb, d.op);
 }
 
@@ -1103,24 +1161,9 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
     case StepResult::Kind::kAlu:
       charge_alu(sm, rb, ws, w, iv.dst_slot, iv.pdst);
       break;
-    case StepResult::Kind::kShared: {
-      count_shared_step(res, stats);
-      if (attr_) {
-        PcAttribution& a = ctx.attr[pc];
-        ++a.shared_requests;
-        if (res.shared_conflict_degree > 1) {
-          a.shared_conflict_extra += res.shared_conflict_degree - 1;
-        }
-      }
-      const std::uint32_t degree = std::max(1u, res.shared_conflict_degree);
-      sm.cycle += static_cast<std::uint64_t>(t_.shared_issue_cycles) * degree;
-      ws.ready_cycle = sm.cycle;
-      if (iv.is_load) {
-        set_slot_ready(rb, w, iv.dst_slot, iv.width_words,
-                       sm.cycle + t_.shared_result_latency_cycles, kRsnShared);
-      }
+    case StepResult::Kind::kShared:
+      charge_shared(sm, ctx, rb, ws, iv, res.shared_conflict_degree);
       break;
-    }
     case StepResult::Kind::kGlobal: {
       bool any_uncoalesced = false;
       const std::uint32_t half = spec_.half_warp;
@@ -1421,11 +1464,12 @@ void TimedRun::account_issue(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx,
 // Steps one SM until it leaves the bucket, parks, or runs out of work.
 void TimedRun::run_sm(Sm& sm, std::uint32_t sm_id, WorkerCtx& ctx) {
   while (sm.park == Park::kNone && sm.cycle < bucket_end_ && sm.any_work) {
+    Pick pick;
     if (fast_ && !sm.barrier_dirty) {
-      issue_runs(sm, sm_id, ctx);
+      pick = issue_runs(sm, sm_id, ctx);
       if (sm.cycle >= bucket_end_) break;
     }
-    sm_step(sm, sm_id, ctx);
+    sm_step(sm, sm_id, ctx, pick);
   }
 }
 
@@ -1620,6 +1664,7 @@ LaunchStats TimedRun::run() {
     decp_ = &ck_->decoded();
   }
   fast_ = decp_ != nullptr;
+  run_shared_degree_ = uniform_shared_degrees(spec_);
   // Per-PC attribution needs the decoded PC mapping (fast path only);
   // stall classification additionally feeds StallSpan reasons, so it runs
   // whenever a sink is attached, on either path.

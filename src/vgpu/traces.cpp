@@ -6,6 +6,7 @@
 
 #include "vgpu/check.hpp"
 #include "vgpu/decode.hpp"
+#include "vgpu/opclass.hpp"
 
 namespace vgpu {
 
@@ -29,9 +30,10 @@ namespace {
 #define X(name, ...)                                                        \
   template <bool kWarp32>                                                   \
   VGPU_TRACE_INLINE void body_##name(                                       \
-      const ThreadedOp* op, std::uint32_t* R, const std::uint32_t* preds,   \
+      const ThreadedOp* op, std::uint32_t* R, std::uint32_t* preds,   \
       const ThreadedCtx& ctx) {                                             \
     const std::uint32_t lanes = kWarp32 ? 32u : ctx.warp_size;              \
+    (void)R;                                                                \
     (void)preds;                                                            \
     (void)ctx;                                                              \
     (void)lanes;                                                            \
@@ -73,7 +75,7 @@ inline constexpr std::uint32_t kNumPairs =
 template <bool kWarp32>
 void trace_switch(const TraceSegment* s, const TraceSegment* const send,
                   const ThreadedOp* op, std::uint32_t* R,
-                  const std::uint32_t* preds, const ThreadedCtx& ctx) {
+                  std::uint32_t* preds, const ThreadedCtx& ctx) {
   for (; s != send; ++s) {
     switch (s->h) {
 #define X(name, ...)                                          \
@@ -122,7 +124,7 @@ void trace_switch(const TraceSegment* s, const TraceSegment* const send,
 template <bool kWarp32>
 void trace_goto(const TraceSegment* s, const TraceSegment* const send,
                 const ThreadedOp* op, std::uint32_t* R,
-                const std::uint32_t* preds, const ThreadedCtx& ctx) {
+                std::uint32_t* preds, const ThreadedCtx& ctx) {
 #define X(name, ...) &&L_##name,
   static const void* const labels[] = {
       VGPU_THREADED_HANDLERS(X) &&P_MulAdd, &&P_AddMul, &&P_FmaAdd,
@@ -253,7 +255,7 @@ TraceProgram build_traces(const DecodedProgram& dec,
 }
 
 void exec_trace(const TraceProgram& tp, std::uint32_t trace,
-                std::uint32_t* regs, const std::uint32_t* preds,
+                std::uint32_t* regs, std::uint32_t* preds,
                 const ThreadedCtx& ctx) {
   const Trace& tr = tp.traces[trace];
   const TraceSegment* const s = tp.segs.data() + tr.seg_begin;

@@ -16,16 +16,18 @@
 //     threaded loop.
 //
 // Handler bodies are the VGPU_THREADED_HANDLERS expansions (threaded.cpp)
-// verbatim - a trace performs the same lane operations in the same order as
-// exec_threaded, so trace dispatch is bit-identical by construction, and
-// the differential suites check both executors, which dispatch every
-// trace, against the reference interpreter.
+// verbatim - a trace performs the same register writes, predicate writes
+// and warp-uniform shared reads in the same order as exec_threaded, so
+// trace dispatch is bit-identical by construction, and the differential
+// suites check both executors, which dispatch every trace, against the
+// reference interpreter.
 //
 // Traces exist only at run *heads* - the only place a converged warp enters
 // a run, since a warp's mask cannot change inside one: BlockExec::step_run
-// starts there, and a timing-only pending range always starts there - and
+// starts there, and a timing-only pending range normally starts there - and
 // only runs of length >= 2 get one; single-instruction runs go through the
-// threaded loop.
+// threaded loop, and so does a pending range that does not cover its whole
+// run (one cut by a shared store of another warp, BlockExec::step_fast).
 #pragma once
 
 #include <cstdint>
@@ -89,7 +91,7 @@ struct TraceProgram {
 /// exec_threaded for the run the trace was compiled from, and bit-identical
 /// to it in every architectural effect.
 void exec_trace(const TraceProgram& tp, std::uint32_t trace,
-                std::uint32_t* regs, const std::uint32_t* preds,
+                std::uint32_t* regs, std::uint32_t* preds,
                 const ThreadedCtx& ctx);
 
 }  // namespace vgpu

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -218,6 +219,45 @@ TEST(TuningCacheTest, LoadRejectsGarbage) {
   EXPECT_EQ(cache.size(), 0u);
   std::remove(bad.c_str());
   std::remove(wrong.c_str());
+
+  // Numbers a cache entry cannot hold, each behind one valid entry: an
+  // infinite cycle count, a fractional tile count, and an SM count past 32
+  // bits (it would narrow to key sim_sms = 1). The load fails and merges
+  // neither entry.
+  const auto entry = [](const std::string& hash, const std::string& field,
+                        const std::string& value) {
+    std::string fields[][2] = {
+        {"sim_sms", "1"}, {"max_waves", "0"}, {"sample_tiles", "0"},
+        {"n_tiles", "4"}, {"t1", "0"},        {"c1", "0"},
+        {"t2", "0"},      {"c2", "0"},        {"blocks_sampled", "0"},
+        {"cycles", "100"}, {"blocks", "8"}};
+    std::string out = "{\"program_hash\": \"" + hash +
+                      "\", \"device_hash\": \"0x2\", \"driver\": "
+                      "\"cuda10\", \"sampled\": false";
+    for (const auto& f : fields) {
+      out += ", \"" + f[0] + "\": " + (f[0] == field ? value : f[1]);
+    }
+    return out + "}";
+  };
+  for (const auto& [field, value] :
+       {std::pair<std::string, std::string>{"cycles", "1e999"},
+        {"n_tiles", "2.5"},
+        {"sim_sms", "4294967297"}}) {
+    const std::string path = temp_path("tune_cache_bad_number.json");
+    std::ofstream(path) << "{\"schema\": \"vgpu-tune-cache\", \"entries\": ["
+                        << entry("0x1", "", "") << ", "
+                        << entry("0x3", field, value) << "]}";
+    EXPECT_FALSE(cache.load(path)) << field << " = " << value;
+    EXPECT_EQ(cache.size(), 0u) << field << " = " << value;
+    std::remove(path.c_str());
+  }
+  // the valid entry alone loads
+  const std::string good = temp_path("tune_cache_one_entry.json");
+  std::ofstream(good) << "{\"schema\": \"vgpu-tune-cache\", \"entries\": ["
+                      << entry("0x1", "", "") << "]}";
+  EXPECT_TRUE(cache.load(good));
+  EXPECT_EQ(cache.size(), 1u);
+  std::remove(good.c_str());
 }
 
 TEST(TuningCacheTest, SaveFailsOnUnwritablePath) {

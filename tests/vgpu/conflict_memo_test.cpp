@@ -175,7 +175,7 @@ TEST(ConflictParityTest, ReferenceAndFastPathsReportIdenticalDegrees) {
 
 // Regression test for the executor-parity audit: the functional and the
 // timing executor accumulate shared_requests / shared_conflict_extra
-// through the same helper (count_shared_step), so a conflict-heavy kernel
+// through the same helper (count_shared_requests), so a conflict-heavy kernel
 // must report identical shared counters on all four paths (functional and
 // timed, reference and fast), at 1 and 2 host threads.
 TEST(ConflictParityTest, FunctionalAndTimingExecutorsAgreeOnSharedCounters) {

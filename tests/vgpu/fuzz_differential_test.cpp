@@ -417,9 +417,10 @@ TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
 
 // Sixth differential axis: specialized run execution. Every superblock
 // trace compiled for the seed's program (traces.hpp: uniform and FMA-pair
-// segments) must leave a warp's registers bit-identical to the plain
-// threaded loops over the run it was compiled from - the computed-goto
-// loop and its portable switch twin - from the same register contents.
+// segments) must leave a warp's registers and predicates bit-identical to
+// the plain threaded loops over the run it was compiled from - the
+// computed-goto loop and its portable switch twin - from the same register
+// and predicate contents.
 TEST_P(FuzzSeed, SpecializedMatchesPlain) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -461,14 +462,22 @@ TEST_P(FuzzSeed, SpecializedMatchesPlain) {
     std::vector<std::uint32_t> via_trace = regs;
     std::vector<std::uint32_t> via_goto = regs;
     std::vector<std::uint32_t> via_switch = regs;
-    exec_trace(traces, t, via_trace.data(), preds.data(), ctx);
-    exec_threaded(ops + i, len, via_goto.data(), preds.data(), ctx);
-    exec_threaded_portable(ops + i, len, via_switch.data(), preds.data(),
-                           ctx);
+    std::vector<std::uint32_t> preds_trace = preds;
+    std::vector<std::uint32_t> preds_goto = preds;
+    std::vector<std::uint32_t> preds_switch = preds;
+    exec_trace(traces, t, via_trace.data(), preds_trace.data(), ctx);
+    exec_threaded(ops + i, len, via_goto.data(), preds_goto.data(), ctx);
+    exec_threaded_portable(ops + i, len, via_switch.data(),
+                           preds_switch.data(), ctx);
     EXPECT_EQ(via_trace, via_goto)
         << "trace " << t << " at instr " << i << " left the threaded loop";
     EXPECT_EQ(via_switch, via_goto)
         << "portable loop diverged on the run at instr " << i;
+    EXPECT_EQ(preds_trace, preds_goto)
+        << "trace " << t << " at instr " << i
+        << " left the threaded loop's predicates";
+    EXPECT_EQ(preds_switch, preds_goto)
+        << "portable loop's predicates diverged on the run at instr " << i;
     ++checked;
   }
   EXPECT_GT(checked, 0u) << "no trace compiled for the seed's program";

@@ -92,12 +92,12 @@ StepResult::Kind oracle_kind(Opcode op) {
   }
 }
 
-/// Oracle for opcode-level run eligibility: register ALU only - nothing
-/// that touches memory, control flow, predicates, or the cycle counter.
+/// Oracle for opcode-level run eligibility: register ALU and predicate
+/// writers - nothing that touches memory, control flow, or the cycle
+/// counter. (The warp-uniform shared load joins runs per instruction, not
+/// per opcode.)
 bool oracle_run_eligible(const Instruction& in) {
   return !in.is_memory() && !in.is_terminator() && in.op != Opcode::kBar &&
-         in.op != Opcode::kSetp && in.op != Opcode::kPAnd &&
-         in.op != Opcode::kPOr && in.op != Opcode::kPNot &&
          in.op != Opcode::kClock;
 }
 
@@ -152,8 +152,9 @@ TEST(OpClassTable, EvalCmpMatchesOperators) {
 // 2. computed-goto vs portable dispatch, all handlers
 // ---------------------------------------------------------------------------
 
-constexpr std::uint32_t kSlots = 16;
+constexpr std::uint32_t kSlots = 24;
 constexpr std::uint32_t kLanes = 32;
+constexpr std::uint32_t kPreds = 10;
 
 ThreadedOp make_op(THandler h, std::uint32_t dst, std::uint32_t a,
                    std::uint32_t b, std::uint32_t c, std::uint32_t imm) {
@@ -167,9 +168,24 @@ ThreadedOp make_op(THandler h, std::uint32_t dst, std::uint32_t a,
   return op;
 }
 
+/// A ThreadedOp whose fields are not all register rows (predicate indices,
+/// a compare, a flag or a width), taken as given.
+ThreadedOp make_raw(THandler h, std::uint32_t dst, std::uint32_t a,
+                    std::uint32_t b, std::uint32_t c, std::uint32_t imm) {
+  ThreadedOp op;
+  op.h = static_cast<std::uint32_t>(h);
+  op.dst = dst;
+  op.a = a;
+  op.b = b;
+  op.c = c;
+  op.imm = imm;
+  return op;
+}
+
 /// An op stream touching every THandler at least once, reading the seeded
-/// low slots and writing the high ones (handlers later in the stream read
-/// results of earlier ones, so a single wrong handler cascades).
+/// low slots and predicates and writing the high ones (handlers later in the
+/// stream read results of earlier ones, so a single wrong handler
+/// cascades).
 std::vector<ThreadedOp> full_coverage_stream() {
   std::vector<ThreadedOp> ops;
   // specials first: they only read ctx
@@ -209,6 +225,25 @@ std::vector<ThreadedOp> full_coverage_stream() {
   ops.push_back(make_op(THandler::kFMin, 12, 12, 11, 0, 0));
   ops.push_back(make_op(THandler::kFMax, 12, 12, 2, 0, 0));
   ops.push_back(make_op(THandler::kF2I, 14, 12, 0, 0, 0));
+  // predicate writers: predicate indices and the CmpOp, not rows
+  const auto cmp = [](CmpOp c) { return static_cast<std::uint32_t>(c); };
+  ops.push_back(make_raw(THandler::kSetpUI, 4, 8 * kLanes, 0, cmp(CmpOp::kLt),
+                         13));  // %laneid < 13
+  ops.push_back(make_raw(THandler::kSetpU, 5, 0, 14 * kLanes,
+                         cmp(CmpOp::kNe), 0));
+  ops.push_back(make_raw(THandler::kSetpF, 6, 2 * kLanes, 3 * kLanes,
+                         cmp(CmpOp::kLt), 0));
+  ops.push_back(make_raw(THandler::kSetpFI, 7, 3 * kLanes, 0,
+                         cmp(CmpOp::kGe), 0));  // >= 0.0f
+  ops.push_back(make_raw(THandler::kPAnd, 8, 5, 6, 0, 0));
+  ops.push_back(make_raw(THandler::kPOr, 9, 7, 1, 0, 0));
+  ops.push_back(make_raw(THandler::kPNot, 3, 9, 0, 0, 0));
+  // warp-uniform shared loads: a 128-bit one from a base row holding 32 in
+  // every lane (+16 = byte 48), a 32-bit one from the absolute byte 8
+  ops.push_back(make_op(THandler::kMovImm, 16, 0, 0, 0, 32));
+  ops.push_back(make_raw(THandler::kLdSharedU, 20 * kLanes, 16 * kLanes, 1,
+                         4, 16));
+  ops.push_back(make_raw(THandler::kLdSharedU, 17 * kLanes, 0, 0, 1, 8));
   // predicated select; op.c is the predicate index for kSel (not a slot),
   // so build it directly instead of through make_op
   {
@@ -242,7 +277,13 @@ TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
                           static_cast<float>(v % 513) * 0.25f - 32.0f);
     }
   }
-  const std::uint32_t preds[4] = {0u, 0xA5A5A5A5u, 0xFFFFFFFFu, 0u};
+  const std::vector<std::uint32_t> seed_preds = {
+      0u, 0xA5A5A5A5u, 0xFFFFFFFFu, 0u, 0u, 0u, 0u, 0u, 0u, 0u};
+  ASSERT_EQ(seed_preds.size(), kPreds);
+  std::vector<std::uint32_t> shared(64);
+  for (std::uint32_t k = 0; k < shared.size(); ++k) {
+    shared[k] = 0x5000u + k * 7u;
+  }
   const std::uint32_t params[4] = {11u, 22u, 33u, 44u};
   ThreadedCtx ctx;
   ctx.params = params;
@@ -253,15 +294,32 @@ TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
   ctx.warp_index = 1;
   ctx.base_thread = 32;
   ctx.warp_size = 32;
+  ctx.shared = shared.data();
+  ctx.shared_bytes = static_cast<std::uint32_t>(shared.size() * 4);
 
   std::vector<std::uint32_t> via_goto = seed;
   std::vector<std::uint32_t> via_portable = seed;
+  std::vector<std::uint32_t> preds_goto = seed_preds;
+  std::vector<std::uint32_t> preds_portable = seed_preds;
   exec_threaded(ops.data(), static_cast<std::uint32_t>(ops.size()),
-                via_goto.data(), preds, ctx);
+                via_goto.data(), preds_goto.data(), ctx);
   exec_threaded_portable(ops.data(), static_cast<std::uint32_t>(ops.size()),
-                         via_portable.data(), preds, ctx);
+                         via_portable.data(), preds_portable.data(), ctx);
   EXPECT_EQ(via_goto, via_portable)
       << "dispatch kind: " << threaded_dispatch_kind();
+  EXPECT_EQ(preds_goto, preds_portable)
+      << "dispatch kind: " << threaded_dispatch_kind();
+
+  // longhand predicate checks: the %laneid < 13 mask, a float compare
+  // against an immediate, and the or/not chain built on it
+  EXPECT_EQ(preds_goto[4], 0x00001FFFu);
+  std::uint32_t ge_zero = 0;
+  for (std::uint32_t l = 0; l < kLanes; ++l) {
+    if (std::bit_cast<float>(seed[3 * kLanes + l]) >= 0.0f) ge_zero |= 1u << l;
+  }
+  EXPECT_EQ(preds_goto[7], ge_zero);
+  EXPECT_EQ(preds_goto[3], ~(ge_zero | seed_preds[1]));
+  EXPECT_EQ(preds_goto[8], preds_goto[5] & preds_goto[6]);
 
   // longhand spot checks so a shared bug in both loops cannot hide:
   for (std::uint32_t l = 0; l < kLanes; ++l) {
@@ -275,9 +333,29 @@ TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
     EXPECT_EQ(via_goto[10 * kLanes + l], ctx.sm_id);
     // kSel wrote last into slot 13: preds[1] bit l picks slot 2 else slot 3
     const std::uint32_t want =
-        (preds[1] >> l) & 1u ? seed[2 * kLanes + l] : seed[3 * kLanes + l];
+        (seed_preds[1] >> l) & 1u ? seed[2 * kLanes + l] : seed[3 * kLanes + l];
     EXPECT_EQ(via_goto[13 * kLanes + l], want) << "kSel lane " << l;
+    // the shared loads splat words 12..15 and word 2 into every lane
+    for (std::uint32_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(via_goto[(20 + c) * kLanes + l], shared[12 + c])
+          << "kLdSharedU word " << c << " lane " << l;
+    }
+    EXPECT_EQ(via_goto[17 * kLanes + l], shared[2]) << "lane " << l;
   }
+
+  // a shared load whose address differs between lanes (%laneid * 4 here)
+  // breaks the warp-uniform contract instead of reading one lane's word
+  const std::vector<ThreadedOp> bad = {
+      make_op(THandler::kShl, 16, 8, 1, 0, 0),
+      make_raw(THandler::kLdSharedU, 17 * kLanes, 16 * kLanes, 1, 1, 0)};
+  std::vector<std::uint32_t> lane_regs = via_goto;
+  for (std::uint32_t l = 0; l < kLanes; ++l) lane_regs[1 * kLanes + l] = 2;
+  EXPECT_THROW(exec_threaded(bad.data(), 2, lane_regs.data(),
+                             preds_goto.data(), ctx),
+               ContractViolation);
+  EXPECT_THROW(exec_threaded_portable(bad.data(), 2, lane_regs.data(),
+                                      preds_goto.data(), ctx),
+               ContractViolation);
 }
 
 TEST(ThreadedDispatch, CompiledStreamParallelsDecodedProgram) {
