@@ -141,30 +141,43 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
         WarpState& ws = exec->warp(w);
         while (!ws.done && !ws.at_barrier) {
           // Issue a whole converged straight-line run in one dispatch and
-          // fold in its pre-aggregated accounting. A maximal run is always
+          // fold in its pre-aggregated accounting, once per execution: a
+          // loop body ending in a uniform back-edge runs all its iterations
+          // in one call, and each branch it executed is one control
+          // instruction of the run's region. A maximal run is always
           // followed by a non-batchable instruction: a fusable memory
           // terminator executes inside the same dispatch (fused boundary
-          // step); otherwise fall through to the single-step dispatch for
-          // it directly. The reference path installs no run programs, so
-          // step_run declines and every instruction single-steps.
+          // step), and so does a uniform branch, after which the warp asks
+          // for its next run; otherwise fall through to the single-step
+          // dispatch for the terminator. The reference path installs no
+          // run programs, so step_run declines and every instruction
+          // single-steps.
           bool fdone = false;
-          if (const DecodedRun* run = exec->step_run(w, fres, fdone)) {
+          const RunSteps rs = exec->step_run(w, fres, fdone);
+          if (const DecodedRun* run = rs.run) {
             progressed = true;
-            stats.warp_instructions += run->len;
+            const std::uint64_t instrs =
+                std::uint64_t{run->len} * rs.times + rs.branches;
+            stats.warp_instructions += instrs;
             stats.region_instructions[static_cast<std::size_t>(run->region)] +=
-                run->len;
+                instrs;
             for (std::size_t c = 0; c < run->class_counts.size(); ++c) {
-              stats.instr_class_counts[c] += run->class_counts[c];
+              stats.instr_class_counts[c] +=
+                  std::uint64_t{run->class_counts[c]} * rs.times;
             }
+            stats.instr_class_counts[static_cast<std::size_t>(
+                InstrClass::kControl)] += rs.branches;
             for (std::size_t k = 0; k < run->shared_loads.size(); ++k) {
-              count_shared_requests(run->shared_loads[k],
-                                    run_shared_degree[k], stats);
+              count_shared_requests(
+                  std::uint64_t{run->shared_loads[k]} * rs.times,
+                  run_shared_degree[k], stats);
             }
             if (fdone) {
               account_step(fres);
               ++stats.fused_boundary_ops;
               continue;
             }
+            if (rs.branches == rs.times) continue;
           }
           const StepResult res = exec->step(w, ws.issued * 4);
           progressed = true;

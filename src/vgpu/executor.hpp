@@ -31,7 +31,9 @@ struct FunctionalOptions {
   /// cache (progcache.hpp) and issues each converged straight-line run in
   /// one dispatch (BlockExec::step_run): through a superblock trace at run
   /// heads (traces.hpp), else the threaded-code loop (threaded.hpp), with
-  /// a fusable run-terminating memory op executed in the same dispatch.
+  /// a fusable run-terminating memory op executed in the same dispatch, or
+  /// a uniform terminating branch - and when that branch is a loop's
+  /// back-edge to the run's head, every further iteration too.
   bool reference = false;
 };
 

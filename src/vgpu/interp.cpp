@@ -220,15 +220,16 @@ StepResult BlockExec::step_ref(std::uint32_t w, std::uint64_t now) {
       });
       break;
     case Opcode::kFMin:
-      for_lanes([&](std::uint32_t l) {
-        lane_reg(ws, in.dst, l) = as_u32(std::fmin(as_f32(lane_reg(ws, in.src[0], l)),
-                                                   as_f32(lane_reg(ws, in.src[1], l))));
-      });
-      break;
     case Opcode::kFMax:
+      // libm's fmin/fmax with the operand order fixed, written out apart
+      // from the fast path's fmin_lane/fmax_lane: a NaN yields the other
+      // operand, two NaNs the first, and a tie (+0 against -0) the second.
       for_lanes([&](std::uint32_t l) {
-        lane_reg(ws, in.dst, l) = as_u32(std::fmax(as_f32(lane_reg(ws, in.src[0], l)),
-                                                   as_f32(lane_reg(ws, in.src[1], l))));
+        const float a = as_f32(lane_reg(ws, in.src[0], l));
+        const float b = as_f32(lane_reg(ws, in.src[1], l));
+        float r = b;
+        if (std::isnan(b) || (in.op == Opcode::kFMin ? a < b : a > b)) r = a;
+        lane_reg(ws, in.dst, l) = as_u32(r);
       });
       break;
 
@@ -341,10 +342,20 @@ StepResult BlockExec::step_ref(std::uint32_t w, std::uint64_t now) {
       });
       break;
     case Opcode::kF2I:
+      // PTX cvt.rzi.u32.f32, written out independently of the fast path's
+      // f2u_rz: NaN and non-positive values give 0, values from 2^32 up
+      // saturate, everything else truncates toward zero.
       for_lanes([&](std::uint32_t l) {
         const float f = as_f32(lane_reg(ws, in.src[0], l));
-        lane_reg(ws, in.dst, l) =
-            f <= 0.0f ? 0u : static_cast<std::uint32_t>(f);
+        std::uint32_t v = 0;
+        if (std::isnan(f) || f <= 0.0f) {
+          v = 0;
+        } else if (f >= 4294967296.0f) {
+          v = 0xFFFFFFFFu;
+        } else {
+          v = static_cast<std::uint32_t>(f);
+        }
+        lane_reg(ws, in.dst, l) = v;
       });
       break;
 
@@ -839,29 +850,61 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
 // writes cover the whole mask. The functional executor runs each warp to its
 // barrier in the reference order, so a run's shared loads read what single
 // steps would.
-const DecodedRun* BlockExec::step_run(std::uint32_t w, StepResult& fused,
-                                      bool& fused_done) {
-  if (threaded_ == nullptr) return nullptr;
+RunSteps BlockExec::step_run(std::uint32_t w, StepResult& fused,
+                             bool& fused_done) {
+  RunSteps out;
+  if (threaded_ == nullptr) return out;
   WarpState& ws = warps_[w];
-  if (ws.done || ws.at_barrier) return nullptr;
-  if ((ws.active & full_mask_) != full_mask_) return nullptr;
+  if (ws.done || ws.at_barrier) return out;
+  if ((ws.active & full_mask_) != full_mask_) return out;
   const std::uint32_t first = dec_->block_start[ws.block] + ws.ip;
   const DecodedRun& run = dec_->runs[first];
-  if (run.len == 0) return nullptr;
-  exec_run(ws, first, run.len);
-  ws.ip += run.len;
-  ws.issued += run.len;
-  // Boundary-step fusion: a fusable terminating memory op executes in the
-  // same dispatch. Ordering matches the separate step() call exactly: the
-  // terminator sees the run's register writes, `issued` counts it after
-  // the run.
-  if (run.fuse_boundary) {
+  if (run.len == 0) return out;
+  out.run = &run;
+  const DecodedInstr& term = dec_->instrs[first + run.len];
+  for (;;) {
+    exec_run(ws, first, run.len);
+    ws.ip += run.len;
+    ws.issued += run.len;
+    ++out.times;
+    // Boundary-step fusion: a fusable terminating memory op executes in the
+    // same dispatch. Ordering matches the separate step() call exactly: the
+    // terminator sees the run's register writes, `issued` counts it after
+    // the run.
+    if (run.fuse_boundary) {
+      ++ws.issued;
+      exec_boundary(term, ws, fused);
+      ++ws.ip;
+      fused_done = true;
+      return out;
+    }
+    // Back-edge continuation: step_fast's uniform branch - the same test
+    // and the same transfer. A divergent bra.cond is left to step().
+    BlockId next = kNoBlock;
+    if (term.op == Opcode::kBra) {
+      next = term.target;
+    } else if (term.op == Opcode::kBraCond) {
+      Mask p = ws.preds[term.psrc0];
+      if (term.branch_if_false) p = ~p;
+      const Mask taken = ws.active & p;
+      if (taken == ws.active) {
+        next = term.target;
+      } else if (taken == 0) {
+        next = term.target2;
+      } else {
+        return out;
+      }
+    } else {
+      return out;
+    }
     ++ws.issued;
-    exec_boundary(dec_->instrs[first + run.len], ws, fused);
-    ++ws.ip;
-    fused_done = true;
+    transfer(ws, next);
+    ++out.branches;
+    if ((ws.active & full_mask_) != full_mask_ ||
+        dec_->block_start[ws.block] + ws.ip != first) {
+      return out;
+    }
   }
-  return &run;
 }
 
 // Compiled dispatch: pre-resolved operand rows, dense handlers, one indirect
@@ -1159,7 +1202,7 @@ void BlockExec::exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
       const std::uint32_t* const a = row(d.src_slot[0]);
       const std::uint32_t* const b = row(d.src_slot[1]);
       for_lanes([&](std::uint32_t l) {
-        o[l] = as_u32(std::fmin(as_f32(a[l]), as_f32(b[l])));
+        o[l] = as_u32(fmin_lane(as_f32(a[l]), as_f32(b[l])));
       });
       break;
     }
@@ -1168,7 +1211,7 @@ void BlockExec::exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
       const std::uint32_t* const a = row(d.src_slot[0]);
       const std::uint32_t* const b = row(d.src_slot[1]);
       for_lanes([&](std::uint32_t l) {
-        o[l] = as_u32(std::fmax(as_f32(a[l]), as_f32(b[l])));
+        o[l] = as_u32(fmax_lane(as_f32(a[l]), as_f32(b[l])));
       });
       break;
     }
@@ -1313,10 +1356,7 @@ void BlockExec::exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
     case Opcode::kF2I: {
       std::uint32_t* const o = row(d.dst_slot);
       const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) {
-        const float f = as_f32(a[l]);
-        o[l] = f <= 0.0f ? 0u : static_cast<std::uint32_t>(f);
-      });
+      for_lanes([&](std::uint32_t l) { o[l] = f2u_rz(as_f32(a[l])); });
       break;
     }
 

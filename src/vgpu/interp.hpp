@@ -102,6 +102,15 @@ struct StepResult {
   std::uint32_t shared_conflict_degree = 0;  ///< max serialization degree
 };
 
+/// What one BlockExec::step_run call executed: `run` `times` times, and
+/// `branches` uniform branches that ended an execution (`times - 1` or
+/// `times` of them). `run` is null when the call executed nothing.
+struct RunSteps {
+  const DecodedRun* run = nullptr;
+  std::uint32_t times = 0;
+  std::uint32_t branches = 0;
+};
+
 /// Per-block launch parameters handed to BlockExec.
 struct BlockParams {
   std::uint32_t block_id = 0;
@@ -163,7 +172,7 @@ class BlockExec {
   /// Batched dispatch (the functional executor's fast path): when warp `w`
   /// is fully converged and sits at the start of a non-empty straight-line
   /// run (DecodedRun), execute the whole run in one call and return its
-  /// pre-aggregated accounting; returns nullptr when batching does not
+  /// pre-aggregated accounting; returns a null `run` when batching does not
   /// apply (no run programs installed, warp done or at a barrier, divergent
   /// mask, or a zero-length run) and the caller must fall back to step().
   /// Runs contain no clock reads, no stores, no memory access but
@@ -176,11 +185,20 @@ class BlockExec {
   /// Boundary-step fusion: when the run's terminator is a fusable memory
   /// op (DecodedRun::fuse_boundary), the terminator executes in the same
   /// call - `fused` is filled exactly as step() would have and `fused_done`
-  /// set true. The caller accounts `fused` as it would a separate step;
-  /// with `fused_done` false nothing past the run executed. Architectural
-  /// effects are bit-identical to the separate step() call.
-  const DecodedRun* step_run(std::uint32_t w, StepResult& fused,
-                             bool& fused_done);
+  /// set true. The caller accounts `fused` as it would a separate step.
+  ///
+  /// Back-edge continuation: otherwise, when the terminator is a `bra`, or
+  /// a `bra.cond` on which every active lane agrees, the branch executes in
+  /// the same call, as step() would execute it (`issued` counts it), and
+  /// when it lands the still converged warp on the head of the run just
+  /// executed - a loop's back-edge - the run executes again. The result
+  /// counts the executions and branches; each branch is a control
+  /// instruction of the run's region. With `branches == times` the warp has
+  /// moved past the last branch and the caller asks step_run again; with
+  /// `branches < times` (and `fused_done` false) the warp stands at the
+  /// run's terminator - one that is not a branch, or a divergent one - for
+  /// step(). Architectural effects are bit-identical to single stepping.
+  RunSteps step_run(std::uint32_t w, StepResult& fused, bool& fused_done);
 
   /// Install the compiled programs whole runs dispatch through - step_run's
   /// runs and the pending ranges of issue_timing_only: the threaded-code

@@ -11,7 +11,9 @@
 // added with inconsistent metadata.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -172,6 +174,34 @@ template <typename AtA, typename AtB>
     case CmpOp::kGe: loop([](auto x, auto y) { return x >= y; }); break;
   }
   return r;
+}
+
+/// kFMin and kFMax for exec_alu and the threaded handlers: C's fmin and
+/// fmax as this host's libm computes them, with the operand order fixed. A
+/// NaN operand yields the other operand, two NaNs the first, and otherwise
+/// the result is a < b ? a : b (a > b ? a : b), so a tie of +0 and -0
+/// gives b. std::fmin leaves those two cases open, and GCC treats it as
+/// commutative, so dispatch loops compiled apart could return different
+/// bits for them.
+[[nodiscard]] inline float fmin_lane(float a, float b) {
+  if (std::isnan(b)) return a;
+  return a < b ? a : b;
+}
+[[nodiscard]] inline float fmax_lane(float a, float b) {
+  if (std::isnan(b)) return a;
+  return a > b ? a : b;
+}
+
+/// kF2I's conversion for exec_alu and the threaded handlers, PTX
+/// cvt.rzi.u32.f32: truncate toward zero and saturate - NaN and values
+/// <= 0 give 0, values >= 2^32 (+inf included) give 0xFFFFFFFF. A plain
+/// cast is undefined outside (-1, 2^32), and the x86 conversion sequences
+/// of different instruction sets fill that gap differently, so the clamp
+/// keeps the cast in range (4294967040 is the largest float below 2^32).
+[[nodiscard]] inline std::uint32_t f2u_rz(float f) {
+  const float in_range = f > 0.0f ? std::min(f, 4294967040.0f) : 0.0f;
+  return f >= 4294967296.0f ? 0xFFFFFFFFu
+                            : static_cast<std::uint32_t>(in_range);
 }
 
 }  // namespace vgpu

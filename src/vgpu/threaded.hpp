@@ -18,7 +18,11 @@
 // still single-steps the same opcodes for divergent warps and guarded
 // instructions; the ALU and predicate handler bodies are the exact
 // expressions of the corresponding exec_alu cases, and the uniform shared
-// load keeps step_fast's alignment and bounds contracts.
+// load keeps step_fast's alignment and bounds contracts. These loops run
+// single-instruction runs and the partial ranges of the shared-store flush
+// only - every longer run executes through its superblock trace
+// (traces.hpp) - and are compiled for the baseline instruction set alone;
+// the trace dispatcher also has an AVX2 copy.
 // threaded_dispatch_test runs the two loops side by side over every
 // handler, and the differential suites (fuzz_differential_test,
 // fastpath_equivalence_test) compare both executors, which run them,

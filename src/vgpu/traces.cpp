@@ -69,103 +69,43 @@ inline constexpr std::uint32_t kNumPairs =
   return kNoTrace;
 }
 
-// Segment dispatch, portable twin: one switch per segment, tight loops
-// inside. Always compiled so builds without computed goto (and the
-// differential tests on them) run the same specialization.
-template <bool kWarp32>
-void trace_switch(const TraceSegment* s, const TraceSegment* const send,
-                  const ThreadedOp* op, std::uint32_t* R,
-                  std::uint32_t* preds, const ThreadedCtx& ctx) {
-  for (; s != send; ++s) {
-    switch (s->h) {
-#define X(name, ...)                                          \
-  case static_cast<std::uint32_t>(THandler::name): {          \
-    const ThreadedOp* const e = op + s->count;                \
-    do {                                                      \
-      body_##name<kWarp32>(op, R, preds, ctx);                \
-      ++op;                                                   \
-    } while (op != e);                                        \
-  } break;
-      VGPU_THREADED_HANDLERS(X)
-#undef X
-#define VGPU_PAIR_CASE(idx, ba, bb)                           \
-  case static_cast<std::uint32_t>(kTHandlerCount) + idx: {    \
-    for (std::uint32_t n = s->count; n-- != 0;) {             \
-      body_##ba<kWarp32>(op, R, preds, ctx);                  \
-      ++op;                                                   \
-      body_##bb<kWarp32>(op, R, preds, ctx);                  \
-      ++op;                                                   \
-    }                                                         \
-  } break;
-      VGPU_PAIR_CASE(0u, kFMul, kFAdd)
-      VGPU_PAIR_CASE(1u, kFAdd, kFMul)
-      VGPU_PAIR_CASE(2u, kFFma, kFAdd)
-      VGPU_PAIR_CASE(3u, kFAdd, kFFma)
-      VGPU_PAIR_CASE(4u, kFMul, kFSub)
-      VGPU_PAIR_CASE(5u, kFSub, kFMul)
-      VGPU_PAIR_CASE(6u, kFFma, kFMul)
-      VGPU_PAIR_CASE(7u, kFMul, kFFma)
-#undef VGPU_PAIR_CASE
-      default:
-        VGPU_EXPECTS_MSG(false, "invalid trace segment handler");
-    }
-  }
-}
+// The dispatchers, compiled twice from one text (trace_dispatch.inc): a
+// baseline copy, and on x86-64 an AVX2 copy whose lane loops run eight
+// lanes per instruction instead of SSE2's four. The copy is a function
+// attribute, not a file built with -mavx2: such a file would also emit its
+// weak inline functions (contract_fail, std::to_string, ...) with VEX
+// encodings, and the linker may keep that copy for baseline callers. No
+// FMA: "avx2" alone, and -ffp-contract=off for the target, keep ffma's two
+// roundings (step_ref's) in both copies.
+namespace baseline {
+#define VGPU_TRACE_TARGET
+#include "vgpu/trace_dispatch.inc"
+#undef VGPU_TRACE_TARGET
+}  // namespace baseline
 
-#if defined(VGPU_HAVE_COMPUTED_GOTO)
-// Segment dispatch through a label table: one indirect jump per *segment*
-// (not per op), with uniform stretches and fused pairs looping on a direct
-// branch in between.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpedantic"
-#if defined(__clang__)
-#pragma GCC diagnostic ignored "-Wgnu-label-as-value"
+#if defined(__x86_64__) && defined(__GNUC__)
+#define VGPU_TRACE_AVX2 1
+namespace avx2 {
+#define VGPU_TRACE_TARGET [[gnu::target("avx2")]]
+#include "vgpu/trace_dispatch.inc"
+#undef VGPU_TRACE_TARGET
+}  // namespace avx2
 #endif
-template <bool kWarp32>
-void trace_goto(const TraceSegment* s, const TraceSegment* const send,
-                const ThreadedOp* op, std::uint32_t* R,
-                std::uint32_t* preds, const ThreadedCtx& ctx) {
-#define X(name, ...) &&L_##name,
-  static const void* const labels[] = {
-      VGPU_THREADED_HANDLERS(X) &&P_MulAdd, &&P_AddMul, &&P_FmaAdd,
-      &&P_AddFma, &&P_MulSub,   &&P_SubMul, &&P_FmaMul, &&P_MulFma};
-#undef X
-  goto* labels[s->h];
-#define X(name, ...)                                \
-  L_##name : {                                      \
-    const ThreadedOp* const e = op + s->count;      \
-    do {                                            \
-      body_##name<kWarp32>(op, R, preds, ctx);      \
-      ++op;                                         \
-    } while (op != e);                              \
-  }                                                 \
-  if (++s == send) return;                          \
-  goto* labels[s->h];
-  VGPU_THREADED_HANDLERS(X)
-#undef X
-#define VGPU_PAIR_LABEL(label, ba, bb)              \
-  label : {                                         \
-    for (std::uint32_t n = s->count; n-- != 0;) {   \
-      body_##ba<kWarp32>(op, R, preds, ctx);        \
-      ++op;                                         \
-      body_##bb<kWarp32>(op, R, preds, ctx);        \
-      ++op;                                         \
-    }                                               \
-  }                                                 \
-  if (++s == send) return;                          \
-  goto* labels[s->h];
-  VGPU_PAIR_LABEL(P_MulAdd, kFMul, kFAdd)
-  VGPU_PAIR_LABEL(P_AddMul, kFAdd, kFMul)
-  VGPU_PAIR_LABEL(P_FmaAdd, kFFma, kFAdd)
-  VGPU_PAIR_LABEL(P_AddFma, kFAdd, kFFma)
-  VGPU_PAIR_LABEL(P_MulSub, kFMul, kFSub)
-  VGPU_PAIR_LABEL(P_SubMul, kFSub, kFMul)
-  VGPU_PAIR_LABEL(P_FmaMul, kFFma, kFMul)
-  VGPU_PAIR_LABEL(P_MulFma, kFMul, kFFma)
-#undef VGPU_PAIR_LABEL
+
+/// True when exec_trace runs the AVX2 copy: decided once per process (a
+/// function-local static, so thread-safe from the timing workers).
+/// __builtin_cpu_supports also checks that the OS saves the YMM state.
+[[nodiscard]] bool host_runs_avx2() {
+#if defined(VGPU_TRACE_AVX2)
+  static const bool avx2_host = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2_host;
+#else
+  return false;
+#endif
 }
-#pragma GCC diagnostic pop
-#endif  // VGPU_HAVE_COMPUTED_GOTO
 
 /// Float-arithmetic handlers: a trace made only of these is an FMA chain.
 [[nodiscard]] bool is_float_arith(std::uint32_t h) {
@@ -259,21 +199,27 @@ void exec_trace(const TraceProgram& tp, std::uint32_t trace,
                 const ThreadedCtx& ctx) {
   const Trace& tr = tp.traces[trace];
   const TraceSegment* const s = tp.segs.data() + tr.seg_begin;
-  const TraceSegment* const send = s + tr.seg_count;
   const ThreadedOp* const op = tp.ops.data() + tr.op_begin;
-#if defined(VGPU_HAVE_COMPUTED_GOTO)
-  if (ctx.warp_size == 32) {
-    trace_goto<true>(s, send, op, regs, preds, ctx);
-  } else {
-    trace_goto<false>(s, send, op, regs, preds, ctx);
-  }
-#else
-  if (ctx.warp_size == 32) {
-    trace_switch<true>(s, send, op, regs, preds, ctx);
-  } else {
-    trace_switch<false>(s, send, op, regs, preds, ctx);
+#if defined(VGPU_TRACE_AVX2)
+  if (host_runs_avx2()) {
+    avx2::run_segments(s, s + tr.seg_count, op, regs, preds, ctx);
+    return;
   }
 #endif
+  baseline::run_segments(s, s + tr.seg_count, op, regs, preds, ctx);
+}
+
+void exec_trace_baseline(const TraceProgram& tp, std::uint32_t trace,
+                         std::uint32_t* regs, std::uint32_t* preds,
+                         const ThreadedCtx& ctx) {
+  const Trace& tr = tp.traces[trace];
+  const TraceSegment* const s = tp.segs.data() + tr.seg_begin;
+  baseline::run_segments(s, s + tr.seg_count, tp.ops.data() + tr.op_begin,
+                         regs, preds, ctx);
+}
+
+const char* trace_dispatch_isa() {
+  return host_runs_avx2() ? "avx2" : "baseline";
 }
 
 }  // namespace vgpu

@@ -20,11 +20,15 @@
 // and warp-uniform shared reads in the same order as exec_threaded, so
 // trace dispatch is bit-identical by construction, and the differential
 // suites check both executors, which dispatch every trace, against the
-// reference interpreter.
+// reference interpreter. The dispatcher is the one code path compiled
+// twice: a baseline copy and, on x86-64, an AVX2 copy (eight lanes per
+// vector instruction, no FMA) that exec_trace selects on hosts that have
+// it; the tests run both copies (exec_trace_baseline).
 //
 // Traces exist only at run *heads* - the only place a converged warp enters
 // a run, since a warp's mask cannot change inside one: BlockExec::step_run
-// starts there, and a timing-only pending range normally starts there - and
+// starts there (again on every iteration of a loop it continues across a
+// back-edge), and a timing-only pending range normally starts there - and
 // only runs of length >= 2 get one; single-instruction runs go through the
 // threaded loop, and so does a pending range that does not cover its whole
 // run (one cut by a shared store of another warp, BlockExec::step_fast).
@@ -89,9 +93,21 @@ struct TraceProgram {
 
 /// Execute trace `trace` on a fully converged warp. Same contract as
 /// exec_threaded for the run the trace was compiled from, and bit-identical
-/// to it in every architectural effect.
+/// to it in every architectural effect. On x86-64 the dispatcher exists in
+/// two instruction-set copies compiled from one text - baseline and AVX2,
+/// eight lanes per vector instruction - and the process picks one at its
+/// first call: AVX2 where the host supports it (trace_dispatch_isa()).
 void exec_trace(const TraceProgram& tp, std::uint32_t trace,
                 std::uint32_t* regs, std::uint32_t* preds,
                 const ThreadedCtx& ctx);
+
+/// The baseline copy of exec_trace, whatever the host supports, so the
+/// differential tests run it on AVX2 hosts too.
+void exec_trace_baseline(const TraceProgram& tp, std::uint32_t trace,
+                         std::uint32_t* regs, std::uint32_t* preds,
+                         const ThreadedCtx& ctx);
+
+/// "avx2" or "baseline": the copy exec_trace runs in this process.
+[[nodiscard]] const char* trace_dispatch_isa();
 
 }  // namespace vgpu

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
@@ -420,7 +421,9 @@ TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
 // segments) must leave a warp's registers and predicates bit-identical to
 // the plain threaded loops over the run it was compiled from - the
 // computed-goto loop and its portable switch twin - from the same register
-// and predicate contents.
+// and predicate contents; so must both instruction-set copies of the trace
+// dispatcher (exec_trace's and the baseline one). Part of the lanes hold
+// edge values: signed zeros, infinities, NaN, denormals, 2^31, 2^32, 5e9.
 TEST_P(FuzzSeed, SpecializedMatchesPlain) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -435,13 +438,22 @@ TEST_P(FuzzSeed, SpecializedMatchesPlain) {
   const ThreadedOp* const ops = ck->threaded().ops.data();
   ASSERT_EQ(traces.trace_at.size(), dec.instrs.size());
 
-  // lane contents like a launch's: finite floats and small integers
+  // lane contents like a launch's - finite floats and small integers - and
+  // every eighth value an edge value
+  static constexpr float kEdges[] = {
+      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(), -1e-40f, 2147483648.0f,
+      4294967296.0f, 5e9f};
   std::mt19937 rng(GetParam());
   std::uniform_real_distribution<float> fdist(-8.0f, 8.0f);
   std::vector<std::uint32_t> regs(std::size_t{p.reg_file_size} * 32u);
   for (std::uint32_t& v : regs) {
-    v = rng() % 2 == 0 ? std::bit_cast<std::uint32_t>(fdist(rng))
-                       : static_cast<std::uint32_t>(rng() % 4096);
+    v = rng() % 8 == 0   ? std::bit_cast<std::uint32_t>(
+                               kEdges[rng() % std::size(kEdges)])
+        : rng() % 2 == 0 ? std::bit_cast<std::uint32_t>(fdist(rng))
+                         : static_cast<std::uint32_t>(rng() % 4096);
   }
   std::vector<std::uint32_t> preds(std::max(p.num_preds, 1u));
   for (std::uint32_t& m : preds) m = static_cast<std::uint32_t>(rng());
@@ -460,22 +472,33 @@ TEST_P(FuzzSeed, SpecializedMatchesPlain) {
     if (t == kNoTrace) continue;
     const std::uint32_t len = dec.runs[i].len;
     std::vector<std::uint32_t> via_trace = regs;
+    std::vector<std::uint32_t> via_baseline = regs;
     std::vector<std::uint32_t> via_goto = regs;
     std::vector<std::uint32_t> via_switch = regs;
     std::vector<std::uint32_t> preds_trace = preds;
+    std::vector<std::uint32_t> preds_baseline = preds;
     std::vector<std::uint32_t> preds_goto = preds;
     std::vector<std::uint32_t> preds_switch = preds;
     exec_trace(traces, t, via_trace.data(), preds_trace.data(), ctx);
+    exec_trace_baseline(traces, t, via_baseline.data(), preds_baseline.data(),
+                        ctx);
     exec_threaded(ops + i, len, via_goto.data(), preds_goto.data(), ctx);
     exec_threaded_portable(ops + i, len, via_switch.data(),
                            preds_switch.data(), ctx);
     EXPECT_EQ(via_trace, via_goto)
-        << "trace " << t << " at instr " << i << " left the threaded loop";
+        << "trace " << t << " at instr " << i << " (" << trace_dispatch_isa()
+        << " copy) left the threaded loop";
+    EXPECT_EQ(via_baseline, via_goto)
+        << "trace " << t << " at instr " << i
+        << " (baseline copy) left the threaded loop";
     EXPECT_EQ(via_switch, via_goto)
         << "portable loop diverged on the run at instr " << i;
     EXPECT_EQ(preds_trace, preds_goto)
+        << "trace " << t << " at instr " << i << " (" << trace_dispatch_isa()
+        << " copy) left the threaded loop's predicates";
+    EXPECT_EQ(preds_baseline, preds_goto)
         << "trace " << t << " at instr " << i
-        << " left the threaded loop's predicates";
+        << " (baseline copy) left the threaded loop's predicates";
     EXPECT_EQ(preds_switch, preds_goto)
         << "portable loop's predicates diverged on the run at instr " << i;
     ++checked;

@@ -8,7 +8,9 @@
 //  2. The two dispatch loops - computed goto and the portable switch - are
 //     executed side by side over an op stream covering every THandler and
 //     must agree bit for bit (and, for the simple handlers, match values
-//     computed longhand here).
+//     computed longhand here); so must the same stream compiled into one
+//     superblock trace, through each instruction-set copy of the trace
+//     dispatcher, also from rows of edge values.
 //  3. The decode cache (progcache.hpp) - hit/miss counters, structural
 //     keying, correctness across parameter changes, and private
 //     compilation.
@@ -22,6 +24,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "gravit/kernels.hpp"
@@ -33,6 +36,7 @@
 #include "vgpu/progcache.hpp"
 #include "vgpu/regalloc.hpp"
 #include "vgpu/threaded.hpp"
+#include "vgpu/traces.hpp"
 
 namespace vgpu {
 namespace {
@@ -258,6 +262,73 @@ std::vector<ThreadedOp> full_coverage_stream() {
   return ops;
 }
 
+/// Edge values for seed rows, as float bits: +0 and -0 (also the integer
+/// 2^31), +inf and -inf, a quiet NaN, denormals, 2^31, 2^32 and 5e9, and
+/// 0xFFFFFFFF (the largest integer; a NaN as a float).
+constexpr std::uint32_t kEdgeBits[] = {
+    0x00000000u, 0x80000000u, 0x7F800000u, 0xFF800000u,
+    0x7FC00000u, 0x00000001u, 0x807FFFFFu, 0x4F000000u,
+    0x4F800000u, 0x4F9502F9u, 0xFFFFFFFFu,
+};
+
+/// What the coverage stream runs from: seed rows (slots 0/1 integers, 2/3
+/// floats), the predicate file, shared memory and a context. `ctx` points
+/// into the object, so it is neither copied nor moved. With `edges`, every
+/// third lane of each seed row holds one of kEdgeBits instead.
+struct CoverageInputs {
+  explicit CoverageInputs(bool edges) {
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      for (std::uint32_t l = 0; l < kLanes; ++l) {
+        const std::uint32_t v = s * 1000003u + l * 97u + 13u;
+        regs[s * kLanes + l] =
+            s < 2 ? v : std::bit_cast<std::uint32_t>(
+                            static_cast<float>(v % 513) * 0.25f - 32.0f);
+        if (edges && l % 3 == 0) {
+          regs[s * kLanes + l] =
+              kEdgeBits[(l / 3 + s) % std::size(kEdgeBits)];
+        }
+      }
+    }
+    for (std::uint32_t k = 0; k < shared.size(); ++k) {
+      shared[k] = 0x5000u + k * 7u;
+    }
+    ctx.params = params;
+    ctx.block_id = 3;
+    ctx.block_threads = 128;
+    ctx.grid_blocks = 9;
+    ctx.sm_id = 2;
+    ctx.warp_index = 1;
+    ctx.base_thread = 32;
+    ctx.warp_size = 32;
+    ctx.shared = shared.data();
+    ctx.shared_bytes = static_cast<std::uint32_t>(shared.size() * 4);
+  }
+  CoverageInputs(const CoverageInputs&) = delete;
+  CoverageInputs& operator=(const CoverageInputs&) = delete;
+
+  std::vector<std::uint32_t> regs = std::vector<std::uint32_t>(kSlots * kLanes);
+  std::vector<std::uint32_t> preds = {0u, 0xA5A5A5A5u, 0xFFFFFFFFu, 0u, 0u,
+                                      0u, 0u,          0u,          0u, 0u};
+  std::vector<std::uint32_t> shared = std::vector<std::uint32_t>(64);
+  std::uint32_t params[4] = {11u, 22u, 33u, 44u};
+  ThreadedCtx ctx;
+};
+
+/// `ops` compiled into one superblock trace, as build_traces compiles a
+/// decoded run of that length (followed by its terminator).
+TraceProgram coverage_trace(const std::vector<ThreadedOp>& ops) {
+  const auto n = static_cast<std::uint32_t>(ops.size());
+  DecodedProgram dec;
+  dec.instrs.resize(n + 1);
+  dec.runs.resize(n + 1);
+  for (std::uint32_t k = 0; k < n; ++k) dec.runs[k].len = n - k;
+  dec.block_start = {0};
+  ThreadedProgram tp;
+  tp.ops = ops;
+  tp.ops.emplace_back();
+  return build_traces(dec, tp);
+}
+
 TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
   std::vector<ThreadedOp> ops = full_coverage_stream();
   // every handler covered?
@@ -267,35 +338,12 @@ TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
     EXPECT_TRUE(hit[h]) << "THandler " << h << " not covered by the stream";
   }
 
-  std::vector<std::uint32_t> seed(kSlots * kLanes);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    for (std::uint32_t l = 0; l < kLanes; ++l) {
-      const std::uint32_t v = s * 1000003u + l * 97u + 13u;
-      // slots 0/1 integers, slots 2/3 floats
-      seed[s * kLanes + l] =
-          s < 2 ? v : std::bit_cast<std::uint32_t>(
-                          static_cast<float>(v % 513) * 0.25f - 32.0f);
-    }
-  }
-  const std::vector<std::uint32_t> seed_preds = {
-      0u, 0xA5A5A5A5u, 0xFFFFFFFFu, 0u, 0u, 0u, 0u, 0u, 0u, 0u};
+  const CoverageInputs in(/*edges=*/false);
+  const std::vector<std::uint32_t>& seed = in.regs;
+  const std::vector<std::uint32_t>& seed_preds = in.preds;
   ASSERT_EQ(seed_preds.size(), kPreds);
-  std::vector<std::uint32_t> shared(64);
-  for (std::uint32_t k = 0; k < shared.size(); ++k) {
-    shared[k] = 0x5000u + k * 7u;
-  }
-  const std::uint32_t params[4] = {11u, 22u, 33u, 44u};
-  ThreadedCtx ctx;
-  ctx.params = params;
-  ctx.block_id = 3;
-  ctx.block_threads = 128;
-  ctx.grid_blocks = 9;
-  ctx.sm_id = 2;
-  ctx.warp_index = 1;
-  ctx.base_thread = 32;
-  ctx.warp_size = 32;
-  ctx.shared = shared.data();
-  ctx.shared_bytes = static_cast<std::uint32_t>(shared.size() * 4);
+  const std::vector<std::uint32_t>& shared = in.shared;
+  const ThreadedCtx& ctx = in.ctx;
 
   std::vector<std::uint32_t> via_goto = seed;
   std::vector<std::uint32_t> via_portable = seed;
@@ -356,6 +404,59 @@ TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
   EXPECT_THROW(exec_threaded_portable(bad.data(), 2, lane_regs.data(),
                                       preds_goto.data(), ctx),
                ContractViolation);
+}
+
+// Every handler in one superblock trace, run from plain and from
+// edge-valued rows: the trace dispatcher's baseline copy must leave the
+// registers and predicates both threaded loops leave.
+TEST(ThreadedDispatch, TraceCopiesAgreeOnAllHandlers) {
+  const std::vector<ThreadedOp> ops = full_coverage_stream();
+  const TraceProgram traces = coverage_trace(ops);
+  ASSERT_EQ(traces.traces.size(), 1u);
+  ASSERT_EQ(traces.traces[0].len, ops.size());
+  const auto n = static_cast<std::uint32_t>(ops.size());
+  for (const bool edges : {false, true}) {
+    CoverageInputs in(edges);
+    std::vector<std::uint32_t> via_trace = in.regs;
+    std::vector<std::uint32_t> via_goto = in.regs;
+    std::vector<std::uint32_t> via_portable = in.regs;
+    std::vector<std::uint32_t> preds_trace = in.preds;
+    std::vector<std::uint32_t> preds_goto = in.preds;
+    std::vector<std::uint32_t> preds_portable = in.preds;
+    exec_trace_baseline(traces, 0, via_trace.data(), preds_trace.data(),
+                        in.ctx);
+    exec_threaded(ops.data(), n, via_goto.data(), preds_goto.data(), in.ctx);
+    exec_threaded_portable(ops.data(), n, via_portable.data(),
+                           preds_portable.data(), in.ctx);
+    EXPECT_EQ(via_trace, via_goto) << "edges " << edges;
+    EXPECT_EQ(via_portable, via_goto) << "edges " << edges;
+    EXPECT_EQ(preds_trace, preds_goto) << "edges " << edges;
+    EXPECT_EQ(preds_portable, preds_goto) << "edges " << edges;
+  }
+}
+
+// The same trace through exec_trace where it runs the AVX2 copy: eight
+// lanes per vector instruction must leave what the baseline copy leaves.
+TEST(ThreadedDispatch, Avx2TraceCopyMatchesBaseline) {
+  if (std::string_view(trace_dispatch_isa()) != "avx2") {
+    GTEST_SKIP() << "exec_trace runs the baseline copy here (no AVX2 on the "
+                    "host, or not an x86-64 build)";
+  }
+  const std::vector<ThreadedOp> ops = full_coverage_stream();
+  const TraceProgram traces = coverage_trace(ops);
+  ASSERT_EQ(traces.traces.size(), 1u);
+  for (const bool edges : {false, true}) {
+    CoverageInputs in(edges);
+    std::vector<std::uint32_t> via_avx2 = in.regs;
+    std::vector<std::uint32_t> via_baseline = in.regs;
+    std::vector<std::uint32_t> preds_avx2 = in.preds;
+    std::vector<std::uint32_t> preds_baseline = in.preds;
+    exec_trace(traces, 0, via_avx2.data(), preds_avx2.data(), in.ctx);
+    exec_trace_baseline(traces, 0, via_baseline.data(), preds_baseline.data(),
+                        in.ctx);
+    EXPECT_EQ(via_avx2, via_baseline) << "edges " << edges;
+    EXPECT_EQ(preds_avx2, preds_baseline) << "edges " << edges;
+  }
 }
 
 TEST(ThreadedDispatch, CompiledStreamParallelsDecodedProgram) {
