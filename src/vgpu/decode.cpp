@@ -96,24 +96,20 @@ struct Uniformity {
 }
 
 /// True when the instruction can sit inside a converged straight-line run:
-/// no guard, no control flow, no clock read, and either a register ALU op
-/// or predicate writer (the opcode-level half lives in the shared trait
-/// table, opclass.hpp, run_eligible) or a shared load whose address is
-/// warp-uniform - a broadcast, priced without its lane addresses. kMovSpecial
-/// additionally excludes the %clock special, whose value depends on the
-/// issue cycle.
+/// no guard, no control flow, no clock read (reads_clock), and either a
+/// register ALU op or predicate writer (the opcode-level half lives in the
+/// shared trait table, opclass.hpp, run_eligible) or a shared load whose
+/// address is warp-uniform - a broadcast, priced without its lane
+/// addresses.
 [[nodiscard]] bool batchable(const DecodedInstr& d, bool uniform_address) {
   if (d.guard != kNoPred) return false;
   if (d.op == Opcode::kLdShared) return uniform_address;
-  if (!op_traits(d.op).run_eligible) return false;
-  return d.op != Opcode::kMovSpecial ||
-         static_cast<Special>(d.imm) != Special::kClock;
+  return op_traits(d.op).run_eligible && !reads_clock(d);
 }
 
-/// True when a run ending at this instruction may execute it fused into the
-/// run's dispatch (boundary-step fusion): an unguarded memory access with no
-/// predicate write. Control flow, barriers and exits still dispatch
-/// separately - they change the warp's mask or scheduling state.
+/// True when a run ending at this instruction counts it as a fused boundary
+/// op (DecodedRun::fuse_boundary): an unguarded memory access with no
+/// predicate write. Control flow, barriers and exits do not count.
 [[nodiscard]] bool fusable_boundary(const DecodedInstr& d) {
   switch (d.kind) {
     case StepResult::Kind::kGlobal:
@@ -230,7 +226,7 @@ DecodedProgram decode(const Program& prog) {
         }
       }
       // Every suffix of a maximal run shares the run's terminator; record
-      // whether that terminator may be executed fused into the dispatch.
+      // whether that terminator counts as a fused boundary op.
       const std::size_t bnd = i + r.len;
       r.fuse_boundary = bnd < end && fusable_boundary(dec.instrs[bnd]);
     }

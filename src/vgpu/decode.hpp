@@ -87,6 +87,16 @@ struct DecodedInstr {
   std::uint32_t dst_words = 0;
 };
 
+/// True for the two clock reads, `clock` and `mov.special %clock`: the only
+/// register ALU instructions whose value depends on the issue cycle. No run
+/// holds one, build_threaded compiles no handler for one, and step_fast
+/// executes them itself.
+[[nodiscard]] inline bool reads_clock(const DecodedInstr& d) {
+  return d.op == Opcode::kClock ||
+         (d.op == Opcode::kMovSpecial &&
+          static_cast<Special>(d.imm) == Special::kClock);
+}
+
 /// The maximal converged straight-line run starting at an instruction:
 /// `len` consecutive instructions (0 = this instruction cannot be batched)
 /// that are all guard-free and change no warp state but registers,
@@ -109,9 +119,9 @@ struct DecodedRun {
   /// degree depends only on its width (uniform_shared_degrees).
   std::array<std::uint32_t, 3> shared_loads{};
   /// True when the instruction terminating this run (at `start + len`) is a
-  /// guard-free memory op a converged warp may execute fused into the same
-  /// dispatch (boundary-step fusion, functional executor); fused execution
-  /// is bit-identical to the separate step.
+  /// guard-free memory op with no predicate write: the functional executor
+  /// steps it straight after the run and counts it as a fused boundary op
+  /// (LaunchStats::fused_boundary_ops).
   bool fuse_boundary = false;
 };
 
@@ -157,7 +167,7 @@ inline const DecodedInstr* BlockExec::peek_decoded(std::uint32_t w) const {
 // range holds a shared load; until then only the timing model sees the
 // issue.
 inline const DecodedInstr* BlockExec::issue_timing_only(std::uint32_t w) {
-  if (threaded_ == nullptr) return nullptr;
+  if (dec_ == nullptr) return nullptr;
   WarpState& ws = warps_[w];
   VGPU_EXPECTS_MSG(!ws.done && !ws.at_barrier,
                    "issuing a finished or parked warp");

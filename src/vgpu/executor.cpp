@@ -82,9 +82,7 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
   }
   CoalesceMemo* const memop = memo ? &*memo : nullptr;
 
-  // Per-step accounting, shared between the single-step dispatch and the
-  // fused boundary step (both see the same StepResult the step would have
-  // produced, so the stats cannot differ between the two paths).
+  // Per-step accounting of the single-step dispatch.
   auto account_step = [&](const StepResult& res) {
     ++stats.warp_instructions;
     ++stats.region_instructions[static_cast<std::size_t>(res.region)];
@@ -113,9 +111,6 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
         break;
     }
   };
-  // Reused across fused boundary steps; exec_boundary rewrites every field
-  // the accounting below reads.
-  StepResult fres;
   const std::array<std::uint32_t, 3> run_shared_degree =
       uniform_shared_degrees(spec);
 
@@ -126,12 +121,8 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
   for (std::uint32_t b = 0; b < cfg.grid_blocks; ++b) {
     BlockParams bp{b, cfg, params, 0, opt.cmem};
     if (!exec || opt.reference) {
-      exec.emplace(prog, spec, gmem, bp, ck ? &ck->decoded() : nullptr);
-      if (ck) {
-        exec->set_conflict_memo(&*cmemo);
-        exec->set_run_programs(ck->threaded(), ck->traces(),
-                               &stats.traces_entered);
-      }
+      exec.emplace(prog, spec, gmem, bp, ck.get(), &stats.traces_entered);
+      if (ck) exec->set_conflict_memo(&*cmemo);
     } else {
       exec->reset(bp);
     }
@@ -145,15 +136,14 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
           // loop body ending in a uniform back-edge runs all its iterations
           // in one call, and each branch it executed is one control
           // instruction of the run's region. A maximal run is always
-          // followed by a non-batchable instruction: a fusable memory
-          // terminator executes inside the same dispatch (fused boundary
-          // step), and so does a uniform branch, after which the warp asks
-          // for its next run; otherwise fall through to the single-step
-          // dispatch for the terminator. The reference path installs no
-          // run programs, so step_run declines and every instruction
+          // followed by a non-batchable instruction: a uniform branch
+          // executes inside the same dispatch, after which the warp asks
+          // for its next run; any other terminator falls through to the
+          // single-step dispatch, and a fusable memory terminator
+          // (DecodedRun::fuse_boundary) counts as a fused boundary op. On
+          // the reference path step_run declines and every instruction
           // single-steps.
-          bool fdone = false;
-          const RunSteps rs = exec->step_run(w, fres, fdone);
+          const RunSteps rs = exec->step_run(w);
           if (const DecodedRun* run = rs.run) {
             progressed = true;
             const std::uint64_t instrs =
@@ -172,12 +162,8 @@ LaunchStats run_functional(const Program& prog, const DeviceSpec& spec,
                   std::uint64_t{run->shared_loads[k]} * rs.times,
                   run_shared_degree[k], stats);
             }
-            if (fdone) {
-              account_step(fres);
-              ++stats.fused_boundary_ops;
-              continue;
-            }
             if (rs.branches == rs.times) continue;
+            if (run->fuse_boundary) ++stats.fused_boundary_ops;
           }
           const StepResult res = exec->step(w, ws.issued * 4);
           progressed = true;

@@ -29,11 +29,10 @@ struct FunctionalOptions {
   /// (LaunchStats::core()); the differential tests exercise this flag.
   /// The fast path serves its compiled kernel from the process-wide decode
   /// cache (progcache.hpp) and issues each converged straight-line run in
-  /// one dispatch (BlockExec::step_run): through a superblock trace at run
-  /// heads (traces.hpp), else the threaded-code loop (threaded.hpp), with
-  /// a fusable run-terminating memory op executed in the same dispatch, or
-  /// a uniform terminating branch - and when that branch is a loop's
-  /// back-edge to the run's head, every further iteration too.
+  /// one dispatch (BlockExec::step_run), through the run's superblock
+  /// trace (traces.hpp), with a uniform terminating branch executed in the
+  /// same dispatch - and when that branch is a loop's back-edge to the
+  /// run's head, every further iteration too.
   bool reference = false;
 };
 

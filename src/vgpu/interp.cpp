@@ -8,6 +8,7 @@
 #include "vgpu/decode.hpp"
 #include "vgpu/memo.hpp"
 #include "vgpu/opclass.hpp"
+#include "vgpu/progcache.hpp"
 #include "vgpu/threaded.hpp"
 #include "vgpu/traces.hpp"
 
@@ -33,13 +34,18 @@ namespace {
 
 BlockExec::BlockExec(const Program& prog, const DeviceSpec& spec,
                      GlobalMemory& gmem, const BlockParams& bp,
-                     const DecodedProgram* dec)
+                     const CompiledKernel* ck, std::uint64_t* traces_entered)
     : prog_(prog),
       spec_(spec),
       gmem_(gmem),
       bp_(bp),
       smem_(std::max(prog.shared_bytes, 4u), spec.shared_mem_banks),
-      dec_(dec) {
+      dec_(ck != nullptr ? &ck->decoded() : nullptr),
+      threaded_(ck != nullptr ? &ck->threaded() : nullptr),
+      traces_(ck != nullptr ? &ck->traces() : nullptr),
+      trace_hits_(traces_entered) {
+  VGPU_EXPECTS_MSG(ck == nullptr || traces_entered != nullptr,
+                   "the fast path needs a traces_entered counter");
   VGPU_EXPECTS_MSG(bp.cfg.block_threads % spec.warp_size == 0,
                    "block size must be a warp multiple");
   VGPU_EXPECTS_MSG(bp.cfg.block_threads <= spec.max_threads_per_block,
@@ -565,11 +571,14 @@ StepResult BlockExec::step_ref(std::uint32_t w, std::uint64_t now) {
 }
 
 // The fast path: same architectural semantics as step_ref, dispatched off
-// the pre-decoded stream. Register accesses go through row pointers hoisted
-// out of the lane loop (slot arithmetic done once per instruction, not per
-// lane), and a converged warp skips per-lane mask tests entirely. Any
-// observable divergence from step_ref is a bug; the differential fuzz and
-// real-kernel equivalence tests compare both paths bit for bit.
+// the pre-decoded stream. Memory ops, control flow and the clock reads are
+// cases here; every other instruction executes through its compiled
+// handler (exec_op), the handler text the traces run. Register accesses go
+// through row pointers hoisted out of the lane loop (slot arithmetic done
+// once per instruction, not per lane), and a converged warp skips per-lane
+// mask tests entirely. Any observable divergence from step_ref is a bug;
+// the differential fuzz and real-kernel equivalence tests compare both
+// paths bit for bit.
 StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
   WarpState& ws = warps_[w];
   VGPU_EXPECTS_MSG(!ws.done, "stepping a finished warp");
@@ -602,7 +611,6 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
   }
 
   const std::uint32_t warp_size = spec_.warp_size;
-  const std::uint32_t base_thread = ws.index * warp_size;
   std::uint32_t* const R = ws.regs;
   auto row = [&](std::uint32_t s) -> std::uint32_t* { return R + s * 32u; };
 
@@ -829,9 +837,19 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
       return res;
     }
 
-    // ---- register ALU / predicates / moves / clock -----------------------
+    // ---- the clock reads: the only instructions that read `now` ---------
+    case Opcode::kClock:
+    case Opcode::kMovSpecial:
+      if (reads_clock(d)) {
+        std::uint32_t* const o = row(d.dst_slot);
+        const auto v = static_cast<std::uint32_t>(now);
+        for_lanes([&](std::uint32_t l) { o[l] = v; });
+        break;
+      }
+      [[fallthrough]];
+    // ---- register ALU / predicates / moves: the compiled handler ---------
     default:
-      exec_alu(d, ws, exec, converged, base_thread, now);
+      exec_op(threaded_->ops[pc], ws.regs, ws.preds, handler_ctx(ws, exec));
       break;
   }
 
@@ -850,10 +868,9 @@ StepResult BlockExec::step_fast(std::uint32_t w, std::uint64_t now) {
 // writes cover the whole mask. The functional executor runs each warp to its
 // barrier in the reference order, so a run's shared loads read what single
 // steps would.
-RunSteps BlockExec::step_run(std::uint32_t w, StepResult& fused,
-                             bool& fused_done) {
+RunSteps BlockExec::step_run(std::uint32_t w) {
   RunSteps out;
-  if (threaded_ == nullptr) return out;
+  if (dec_ == nullptr) return out;
   WarpState& ws = warps_[w];
   if (ws.done || ws.at_barrier) return out;
   if ((ws.active & full_mask_) != full_mask_) return out;
@@ -867,17 +884,6 @@ RunSteps BlockExec::step_run(std::uint32_t w, StepResult& fused,
     ws.ip += run.len;
     ws.issued += run.len;
     ++out.times;
-    // Boundary-step fusion: a fusable terminating memory op executes in the
-    // same dispatch. Ordering matches the separate step() call exactly: the
-    // terminator sees the run's register writes, `issued` counts it after
-    // the run.
-    if (run.fuse_boundary) {
-      ++ws.issued;
-      exec_boundary(term, ws, fused);
-      ++ws.ip;
-      fused_done = true;
-      return out;
-    }
     // Back-edge continuation: step_fast's uniform branch - the same test
     // and the same transfer. A divergent bra.cond is left to step().
     BlockId next = kNoBlock;
@@ -907,12 +913,7 @@ RunSteps BlockExec::step_run(std::uint32_t w, StepResult& fused,
   }
 }
 
-// Compiled dispatch: pre-resolved operand rows, dense handlers, one indirect
-// jump per instruction (threaded.cpp) - or, for a whole run starting at a
-// compiled trace head, one jump per trace *segment* (traces.cpp). Both are
-// bit-identical to single-stepping the run through step_fast.
-void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
-                         std::uint32_t len) {
+ThreadedCtx BlockExec::handler_ctx(const WarpState& ws, Mask active) const {
   ThreadedCtx ctx;
   ctx.params = bp_.params.data();
   ctx.block_id = bp_.block_id;
@@ -922,15 +923,29 @@ void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
   ctx.warp_index = ws.index;
   ctx.base_thread = ws.index * spec_.warp_size;
   ctx.warp_size = spec_.warp_size;
-  ctx.active = ws.active;
+  ctx.active = active;
   ctx.shared = smem_.words();
   ctx.shared_bytes = smem_.size_bytes();
+  return ctx;
+}
+
+// Compiled dispatch: a whole run - every run step_run executes, and every
+// pending range but the flush's - goes through its trace, one jump per
+// trace *segment* (traces.cpp). A range the shared-store flush cut off
+// mid-run, or the rest of that run after the cut, has no trace of its own
+// and executes one compiled instruction at a time. Both are bit-identical
+// to single-stepping the range through step_fast.
+void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
+                         std::uint32_t len) {
+  const ThreadedCtx ctx = handler_ctx(ws, ws.active);
   const std::uint32_t tr = traces_->trace_at[first];
   if (tr != kNoTrace && traces_->traces[tr].len == len) {
     exec_trace(*traces_, tr, ws.regs, ws.preds, ctx);
     ++*trace_hits_;
-  } else {
-    exec_threaded(threaded_->ops.data() + first, len, ws.regs, ws.preds, ctx);
+    return;
+  }
+  for (std::uint32_t k = first; k < first + len; ++k) {
+    exec_op(threaded_->ops[k], ws.regs, ws.preds, ctx);
   }
 }
 
@@ -939,8 +954,8 @@ void BlockExec::exec_run(WarpState& ws, std::uint32_t first,
 // of this warp may come in between, so before it every other warp's pending
 // range that holds a shared load executes: each load then reads what it
 // read at its issue in the reference order. The range may end mid-run, so
-// exec_run takes the threaded loop for it; the warp's later issues open a
-// new pending range mid-run.
+// exec_run executes it one instruction at a time; the warp's later issues
+// open a new pending range mid-run.
 void BlockExec::execute_pending_shared_loads(const WarpState& storer) {
   const auto loads = [](const DecodedRun& r) {
     return r.shared_loads[0] + r.shared_loads[1] + r.shared_loads[2];
@@ -953,463 +968,6 @@ void BlockExec::execute_pending_shared_loads(const WarpState& storer) {
     }
     exec_run(other, other.pending_first, other.pending_len);
     other.pending_len = 0;
-  }
-}
-
-// The memory cases of step_fast, specialized for the boundary-fusion
-// preconditions decode() checked (fusable_boundary): a converged warp and
-// an unguarded memory op with no predicate write. Guard evaluation and the
-// per-lane mask tests drop out; every architectural effect and every
-// StepResult field a pricing/accounting path reads is produced exactly as
-// step_fast would. `out` is caller-owned and may be reused across calls, so
-// every field step_fast's fresh StepResult would default is written here.
-void BlockExec::exec_boundary(const DecodedInstr& d, WarpState& ws,
-                              StepResult& out) {
-  out.kind = d.kind;
-  out.region = d.region;
-  out.op = d.op;
-  out.divergent_branch = false;
-  out.width = d.width;
-  out.is_store = d.is_store;
-  const Mask exec = ws.active;
-  out.mem_mask = exec;
-  out.shared_conflict_degree = 0;
-  const std::uint32_t warp_size = spec_.warp_size;
-  std::uint32_t* const R = ws.regs;
-  auto row = [&](std::uint32_t s) -> std::uint32_t* { return R + s * 32u; };
-  const std::uint32_t words = d.width_words;
-  const std::uint32_t wbytes = d.width_bytes;
-
-  switch (d.op) {
-    case Opcode::kLdGlobal:
-    case Opcode::kStGlobal: {
-      const bool has_base = d.src_slot[0] != kNoSlot;
-      const std::uint32_t* const ab = has_base ? row(d.src_slot[0]) : nullptr;
-      const std::uint32_t imm = d.imm;
-      if (d.is_store) {
-        const std::uint32_t* const v = row(d.src_slot[1]);
-        for (std::uint32_t l = 0; l < warp_size; ++l) {
-          const std::uint32_t addr = (has_base ? ab[l] : 0u) + imm;
-          VGPU_EXPECTS_MSG(addr % wbytes == 0, "misaligned global access");
-          out.lane_addrs[l] = addr;
-          for (std::uint32_t c = 0; c < words; ++c) {
-            gmem_.store_u32(addr + 4u * c, v[c * 32u + l]);
-          }
-        }
-      } else {
-        std::uint32_t* const o = row(d.dst_slot);
-        for (std::uint32_t l = 0; l < warp_size; ++l) {
-          const std::uint32_t addr = (has_base ? ab[l] : 0u) + imm;
-          VGPU_EXPECTS_MSG(addr % wbytes == 0, "misaligned global access");
-          out.lane_addrs[l] = addr;
-          for (std::uint32_t c = 0; c < words; ++c) {
-            o[c * 32u + l] = gmem_.load_u32(addr + 4u * c);
-          }
-        }
-      }
-      break;
-    }
-    case Opcode::kLdConst: {
-      VGPU_EXPECTS_MSG(bp_.cmem != nullptr,
-                       "kernel reads constant memory but none bound");
-      const bool has_base = d.src_slot[0] != kNoSlot;
-      const std::uint32_t* const ab = has_base ? row(d.src_slot[0]) : nullptr;
-      std::uint32_t* const o = row(d.dst_slot);
-      for (std::uint32_t l = 0; l < warp_size; ++l) {
-        const std::uint32_t addr = (has_base ? ab[l] : 0u) + d.imm;
-        out.lane_addrs[l] = addr;
-        for (std::uint32_t c = 0; c < words; ++c) {
-          o[c * 32u + l] = bp_.cmem->load_u32(addr + 4u * c);
-        }
-      }
-      break;
-    }
-    case Opcode::kLdTex: {
-      const bool has_base = d.src_slot[0] != kNoSlot;
-      const std::uint32_t* const ab = has_base ? row(d.src_slot[0]) : nullptr;
-      std::uint32_t* const o = row(d.dst_slot);
-      for (std::uint32_t l = 0; l < warp_size; ++l) {
-        const std::uint32_t addr = (has_base ? ab[l] : 0u) + d.imm;
-        VGPU_EXPECTS_MSG(addr % wbytes == 0, "misaligned texture fetch");
-        out.lane_addrs[l] = addr;
-        for (std::uint32_t c = 0; c < words; ++c) {
-          o[c * 32u + l] = gmem_.load_u32(addr + 4u * c);
-        }
-      }
-      break;
-    }
-    case Opcode::kLdLocal:
-    case Opcode::kStLocal: {
-      const std::uint32_t word = d.imm / 4;
-      VGPU_EXPECTS_MSG(d.imm % 4 == 0 && word < local_words_,
-                       "local access out of frame");
-      std::uint32_t* const frame =
-          ws.local + static_cast<std::size_t>(word) * 32u;
-      if (d.is_store) {
-        const std::uint32_t* const v = row(d.src_slot[1]);
-        for (std::uint32_t l = 0; l < warp_size; ++l) frame[l] = v[l];
-      } else {
-        std::uint32_t* const o = row(d.dst_slot);
-        for (std::uint32_t l = 0; l < warp_size; ++l) o[l] = frame[l];
-      }
-      break;
-    }
-    case Opcode::kLdShared:
-    case Opcode::kStShared: {
-      const bool has_base = d.src_slot[0] != kNoSlot;
-      const std::uint32_t* const ab = has_base ? row(d.src_slot[0]) : nullptr;
-      if (has_base && !d.is_store) {
-        // The converged-load fast path of step_fast: aggregate
-        // alignment/bounds across the warp, then move data through the raw
-        // word array. (Loads decode proved warp-uniform, the broadcasts of
-        // tiled kernels, join runs instead and never get here.)
-        std::uint32_t agg = 0, mx = 0;
-        for (std::uint32_t l = 0; l < warp_size; ++l) {
-          const std::uint32_t addr = ab[l] + d.imm;
-          agg |= addr;
-          mx = std::max(mx, addr);
-        }
-        VGPU_EXPECTS_MSG((agg & (wbytes - 1u)) == 0,
-                         "misaligned shared access");
-        VGPU_EXPECTS_MSG(static_cast<std::uint64_t>(mx) + 4ull * words <=
-                             smem_.size_bytes(),
-                         "shared load out of bounds");
-        const std::uint32_t* const sp = smem_.words();
-        std::uint32_t* const o = row(d.dst_slot);
-        for (std::uint32_t l = 0; l < warp_size; ++l) {
-          const std::uint32_t addr = ab[l] + d.imm;
-          out.lane_addrs[l] = addr;
-          for (std::uint32_t c = 0; c < words; ++c) {
-            o[c * 32u + l] = sp[addr / 4u + c];
-          }
-        }
-      } else if (d.is_store) {
-        const std::uint32_t* const v = row(d.src_slot[1]);
-        for (std::uint32_t l = 0; l < warp_size; ++l) {
-          const std::uint32_t addr = (has_base ? ab[l] : 0u) + d.imm;
-          VGPU_EXPECTS_MSG(addr % wbytes == 0, "misaligned shared access");
-          out.lane_addrs[l] = addr;
-          for (std::uint32_t c = 0; c < words; ++c) {
-            smem_.store_u32(addr + 4u * c, v[c * 32u + l]);
-          }
-        }
-      } else {
-        std::uint32_t* const o = row(d.dst_slot);
-        for (std::uint32_t l = 0; l < warp_size; ++l) {
-          const std::uint32_t addr = (has_base ? ab[l] : 0u) + d.imm;
-          VGPU_EXPECTS_MSG(addr % wbytes == 0, "misaligned shared access");
-          out.lane_addrs[l] = addr;
-          for (std::uint32_t c = 0; c < words; ++c) {
-            o[c * 32u + l] = smem_.load_u32(addr + 4u * c);
-          }
-        }
-      }
-      const std::span<const std::uint32_t> la(out.lane_addrs.data(),
-                                              warp_size);
-      out.shared_conflict_degree =
-          cmemo_ != nullptr
-              ? cmemo_->lookup(la, exec, words)
-              : warp_bank_conflict_degree(la, exec, words, spec_.half_warp,
-                                          spec_.shared_mem_banks);
-      break;
-    }
-    default:
-      VGPU_EXPECTS_MSG(false, "non-fusable boundary op");
-  }
-}
-
-// The register-ALU subset of step_fast (single-step dispatch, any mask).
-// Architectural effects are exactly those of the corresponding step_ref
-// cases, and of the threaded handlers step_run dispatches converged runs
-// through. `now` feeds only the clock reads.
-void BlockExec::exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
-                         bool converged, std::uint32_t base_thread,
-                         std::uint64_t now) {
-  const std::uint32_t warp_size = spec_.warp_size;
-  std::uint32_t* const R = ws.regs;
-  auto row = [&](std::uint32_t s) -> std::uint32_t* { return R + s * 32u; };
-  auto for_lanes = [&](auto&& fn) {
-    if (converged) {
-      for (std::uint32_t lane = 0; lane < warp_size; ++lane) fn(lane);
-    } else {
-      for (std::uint32_t lane = 0; lane < warp_size; ++lane) {
-        if (exec & (1u << lane)) fn(lane);
-      }
-    }
-  };
-
-  switch (d.op) {
-    // ---- f32 -------------------------------------------------------------
-    case Opcode::kFAdd: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(as_f32(a[l]) + as_f32(b[l])); });
-      break;
-    }
-    case Opcode::kFSub: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(as_f32(a[l]) - as_f32(b[l])); });
-      break;
-    }
-    case Opcode::kFMul: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(as_f32(a[l]) * as_f32(b[l])); });
-      break;
-    }
-    case Opcode::kFFma: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      const std::uint32_t* const c = row(d.src_slot[2]);
-      for_lanes([&](std::uint32_t l) {
-        o[l] = as_u32(as_f32(a[l]) * as_f32(b[l]) + as_f32(c[l]));
-      });
-      break;
-    }
-    case Opcode::kFRcp: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(1.0f / as_f32(a[l])); });
-      break;
-    }
-    case Opcode::kFRsqrt: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) {
-        o[l] = as_u32(1.0f / std::sqrt(as_f32(a[l])));
-      });
-      break;
-    }
-    case Opcode::kFNeg: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(-as_f32(a[l])); });
-      break;
-    }
-    case Opcode::kFAbs: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(std::fabs(as_f32(a[l]))); });
-      break;
-    }
-    case Opcode::kFMin: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) {
-        o[l] = as_u32(fmin_lane(as_f32(a[l]), as_f32(b[l])));
-      });
-      break;
-    }
-    case Opcode::kFMax: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) {
-        o[l] = as_u32(fmax_lane(as_f32(a[l]), as_f32(b[l])));
-      });
-      break;
-    }
-
-    // ---- u32 -------------------------------------------------------------
-    case Opcode::kIAdd: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] + b[l]; });
-      break;
-    }
-    case Opcode::kISub: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] - b[l]; });
-      break;
-    }
-    case Opcode::kIMul: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] * b[l]; });
-      break;
-    }
-    case Opcode::kIMad: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      const std::uint32_t* const c = row(d.src_slot[2]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] * b[l] + c[l]; });
-      break;
-    }
-    case Opcode::kIAddImm: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t imm = d.imm;
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] + imm; });
-      break;
-    }
-    case Opcode::kShl: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] << (b[l] & 31u); });
-      break;
-    }
-    case Opcode::kShr: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] >> (b[l] & 31u); });
-      break;
-    }
-    case Opcode::kAnd: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] & b[l]; });
-      break;
-    }
-    case Opcode::kOr: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] | b[l]; });
-      break;
-    }
-    case Opcode::kXor: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l] ^ b[l]; });
-      break;
-    }
-    case Opcode::kIMin: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = std::min(a[l], b[l]); });
-      break;
-    }
-    case Opcode::kIMax: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      for_lanes([&](std::uint32_t l) { o[l] = std::max(a[l], b[l]); });
-      break;
-    }
-
-    // ---- moves / conversions ----------------------------------------------
-    case Opcode::kMov: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) { o[l] = a[l]; });
-      break;
-    }
-    case Opcode::kMovImm: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t imm = d.imm;
-      for_lanes([&](std::uint32_t l) { o[l] = imm; });
-      break;
-    }
-    case Opcode::kMovParam: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t v = bp_.params[d.imm];
-      for_lanes([&](std::uint32_t l) { o[l] = v; });
-      break;
-    }
-    case Opcode::kMovSpecial: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const auto s = static_cast<Special>(d.imm);
-      for_lanes([&](std::uint32_t l) {
-        std::uint32_t v = 0;
-        switch (s) {
-          case Special::kTid: v = base_thread + l; break;
-          case Special::kCtaid: v = bp_.block_id; break;
-          case Special::kNtid: v = bp_.cfg.block_threads; break;
-          case Special::kNctaid: v = bp_.cfg.grid_blocks; break;
-          case Special::kLane: v = l; break;
-          case Special::kWarpId: v = ws.index; break;
-          case Special::kSmId: v = bp_.sm_id; break;
-          case Special::kClock: v = static_cast<std::uint32_t>(now); break;
-        }
-        o[l] = v;
-      });
-      break;
-    }
-    case Opcode::kClock: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const auto v = static_cast<std::uint32_t>(now);
-      for_lanes([&](std::uint32_t l) { o[l] = v; });
-      break;
-    }
-    case Opcode::kI2F: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) { o[l] = as_u32(static_cast<float>(a[l])); });
-      break;
-    }
-    case Opcode::kF2I: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      for_lanes([&](std::uint32_t l) { o[l] = f2u_rz(as_f32(a[l])); });
-      break;
-    }
-
-    // ---- predicates --------------------------------------------------------
-    case Opcode::kSetp: {
-      // The threaded handlers' compare loop over every lane; the write
-      // keeps the executing lanes' bits only.
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b =
-          d.src_slot[1] != kNoSlot ? row(d.src_slot[1]) : nullptr;
-      const auto fa = [a](std::uint32_t l) { return as_f32(a[l]); };
-      const auto ua = [a](std::uint32_t l) { return a[l]; };
-      const float fi = as_f32(d.imm);
-      const std::uint32_t ui = d.imm;
-      const Mask result =
-          d.cmp_is_float
-              ? (b != nullptr
-                     ? setp_lanes(d.cmp, warp_size, fa,
-                                  [b](std::uint32_t l) { return as_f32(b[l]); })
-                     : setp_lanes(d.cmp, warp_size, fa,
-                                  [fi](std::uint32_t) { return fi; }))
-              : (b != nullptr
-                     ? setp_lanes(d.cmp, warp_size, ua,
-                                  [b](std::uint32_t l) { return b[l]; })
-                     : setp_lanes(d.cmp, warp_size, ua,
-                                  [ui](std::uint32_t) { return ui; }));
-      ws.preds[d.pdst] = (ws.preds[d.pdst] & ~exec) | (result & exec);
-      break;
-    }
-    case Opcode::kPAnd:
-      ws.preds[d.pdst] = (ws.preds[d.pdst] & ~exec) |
-                         (ws.preds[d.psrc0] & ws.preds[d.psrc1] & exec);
-      break;
-    case Opcode::kPOr:
-      ws.preds[d.pdst] = (ws.preds[d.pdst] & ~exec) |
-                         ((ws.preds[d.psrc0] | ws.preds[d.psrc1]) & exec);
-      break;
-    case Opcode::kPNot:
-      ws.preds[d.pdst] =
-          (ws.preds[d.pdst] & ~exec) | (~ws.preds[d.psrc0] & exec);
-      break;
-    case Opcode::kSel: {
-      std::uint32_t* const o = row(d.dst_slot);
-      const std::uint32_t* const a = row(d.src_slot[0]);
-      const std::uint32_t* const b = row(d.src_slot[1]);
-      const Mask p = ws.preds[d.psrc0];
-      for_lanes([&](std::uint32_t l) {
-        o[l] = (p & (1u << l)) ? a[l] : b[l];
-      });
-      break;
-    }
-    default:
-      break;  // memory/control ops never reach exec_alu
   }
 }
 

@@ -13,9 +13,13 @@
 //
 // Two execution paths share this state:
 //   * the reference path interprets `Instruction` directly (step_ref), and
-//   * the fast path (step_fast) dispatches off a pre-decoded stream
-//     (decode.hpp) with operand slots already resolved, and is required to
-//     be bit-identical to the reference in every architectural effect.
+//   * the fast path runs a kernel's compiled programs (progcache.hpp,
+//     CompiledKernel): step_fast dispatches off the pre-decoded stream
+//     (decode.hpp) and executes memory ops, control flow and clock reads
+//     itself, every other instruction through its compiled handler
+//     (threaded.hpp, exec_op); whole runs of a converged warp execute
+//     through their superblock traces (traces.hpp). It is required to be
+//     bit-identical to the reference in every architectural effect.
 // Lane storage lives in per-block arenas owned by BlockExec (one
 // allocation per block, not one per warp), and `reset()` lets executors
 // reuse one BlockExec across the whole grid instead of reallocating.
@@ -36,8 +40,10 @@ namespace vgpu {
 struct DecodedInstr;
 struct DecodedProgram;
 struct DecodedRun;
+struct ThreadedCtx;
 struct ThreadedProgram;
 struct TraceProgram;
+class CompiledKernel;
 class ConflictMemo;
 
 using Mask = std::uint32_t;
@@ -123,11 +129,14 @@ struct BlockParams {
 
 class BlockExec {
  public:
-  /// When `dec` is non-null it must be `decode(prog)`; step() then runs the
-  /// fast pre-decoded path. With `dec == nullptr` the reference interpreter
-  /// runs.
+  /// When `ck` is non-null it must be compiled from `prog`; step() then
+  /// runs the fast path through its programs, and every whole run that
+  /// executes through a trace increments `*traces_entered` (the
+  /// `traces_entered` stat; required with `ck`). With `ck == nullptr` the
+  /// reference interpreter runs.
   BlockExec(const Program& prog, const DeviceSpec& spec, GlobalMemory& gmem,
-            const BlockParams& bp, const DecodedProgram* dec = nullptr);
+            const BlockParams& bp, const CompiledKernel* ck = nullptr,
+            std::uint64_t* traces_entered = nullptr);
 
   BlockExec(const BlockExec&) = delete;
   BlockExec& operator=(const BlockExec&) = delete;
@@ -154,7 +163,7 @@ class BlockExec {
   /// run (DecodedRun), advance `ip` and `issued` past it without executing
   /// it, append it to the warp's pending range and return its decoded form
   /// for pricing. Returns nullptr - nothing changed, the caller must step()
-  /// - when no run programs are installed, the mask is divergent, or the
+  /// - on the reference path, when the mask is divergent, or when the
   /// instruction is not in a run. Defined inline in decode.hpp, where
   /// DecodedProgram is complete: it runs once per issued run instruction.
   ///
@@ -162,8 +171,8 @@ class BlockExec {
   /// instruction was converged at the run's head and issues the whole run
   /// this way. A run writes only the warp's own registers and predicates,
   /// first read by the warp's own next step() - the run's terminator -
-  /// which executes the pending range first, once, through the same
-  /// compiled programs as step_run. Its one outside input, a warp-uniform
+  /// which executes the pending range first, once, through the run's trace
+  /// as step_run would. Its one outside input, a warp-uniform
   /// shared load, is kept exact by the shared store of another warp, which
   /// executes the pending range before it writes
   /// (execute_pending_shared_loads).
@@ -173,8 +182,8 @@ class BlockExec {
   /// is fully converged and sits at the start of a non-empty straight-line
   /// run (DecodedRun), execute the whole run in one call and return its
   /// pre-aggregated accounting; returns a null `run` when batching does not
-  /// apply (no run programs installed, warp done or at a barrier, divergent
-  /// mask, or a zero-length run) and the caller must fall back to step().
+  /// apply (the reference path, warp done or at a barrier, divergent mask,
+  /// or a zero-length run) and the caller must fall back to step().
   /// Runs contain no clock reads, no stores, no memory access but
   /// warp-uniform shared loads, and no control flow, so no `now` is needed
   /// and no StepResult is produced (the caller accounts the run's shared
@@ -182,38 +191,18 @@ class BlockExec {
   /// run length, keeping the functional executor's pseudo-time identical to
   /// single stepping.
   ///
-  /// Boundary-step fusion: when the run's terminator is a fusable memory
-  /// op (DecodedRun::fuse_boundary), the terminator executes in the same
-  /// call - `fused` is filled exactly as step() would have and `fused_done`
-  /// set true. The caller accounts `fused` as it would a separate step.
-  ///
-  /// Back-edge continuation: otherwise, when the terminator is a `bra`, or
-  /// a `bra.cond` on which every active lane agrees, the branch executes in
+  /// Back-edge continuation: when the terminator is a `bra`, or a
+  /// `bra.cond` on which every active lane agrees, the branch executes in
   /// the same call, as step() would execute it (`issued` counts it), and
   /// when it lands the still converged warp on the head of the run just
   /// executed - a loop's back-edge - the run executes again. The result
   /// counts the executions and branches; each branch is a control
   /// instruction of the run's region. With `branches == times` the warp has
   /// moved past the last branch and the caller asks step_run again; with
-  /// `branches < times` (and `fused_done` false) the warp stands at the
-  /// run's terminator - one that is not a branch, or a divergent one - for
-  /// step(). Architectural effects are bit-identical to single stepping.
-  RunSteps step_run(std::uint32_t w, StepResult& fused, bool& fused_done);
-
-  /// Install the compiled programs whole runs dispatch through - step_run's
-  /// runs and the pending ranges of issue_timing_only: the threaded-code
-  /// stream (threaded.hpp) and its superblock traces (traces.hpp), both
-  /// built from the DecodedProgram this BlockExec was constructed with.
-  /// Runs starting at a trace head execute through exec_trace, incrementing
-  /// `*entered` per call (the `traces_entered` stat); every other run goes
-  /// through the threaded loop. Both are bit-identical to single stepping in
-  /// every architectural effect.
-  void set_run_programs(const ThreadedProgram& tp, const TraceProgram& traces,
-                        std::uint64_t* entered) {
-    threaded_ = &tp;
-    traces_ = &traces;
-    trace_hits_ = entered;
-  }
+  /// `branches < times` the warp stands at the run's terminator - one that
+  /// is not a branch, or a divergent one - for step(). Architectural
+  /// effects are bit-identical to single stepping.
+  RunSteps step_run(std::uint32_t w);
 
   /// Install a bank-conflict memo consulted by the fast path's shared-memory
   /// steps (nullptr = compute degrees directly). The memo must be bound to
@@ -247,23 +236,18 @@ class BlockExec {
  private:
   StepResult step_ref(std::uint32_t w, std::uint64_t now);
   StepResult step_fast(std::uint32_t w, std::uint64_t now);
-  /// Fused execution of a run-terminating memory op on a converged warp
-  /// (decode.cpp::fusable_boundary): the memory cases of step_fast with the
-  /// guard evaluation and convergence test specialized away, writing into a
-  /// caller-owned StepResult. Effects are exactly step_fast's.
-  void exec_boundary(const DecodedInstr& d, WarpState& ws, StepResult& out);
-  /// Execute `len` decoded instructions from `first` on a converged warp
-  /// through the installed run programs: the superblock trace for a whole
-  /// run from a trace head, else the threaded loop.
+  /// Everything a compiled handler reads besides the warp's register and
+  /// predicate files, for warp `ws` executing the lanes of `active`.
+  [[nodiscard]] ThreadedCtx handler_ctx(const WarpState& ws,
+                                        Mask active) const;
+  /// Execute `len` decoded run instructions from `first` on a converged
+  /// warp: a whole run through its superblock trace, any other range (the
+  /// shared-store flush's) one instruction at a time through exec_op.
   void exec_run(WarpState& ws, std::uint32_t first, std::uint32_t len);
   /// Before a shared store of `storer`: execute every other warp's pending
   /// range that holds a shared load (the timing executor's one cross-warp
   /// hazard; see interp.cpp).
   void execute_pending_shared_loads(const WarpState& storer);
-  /// Architectural effects of one decoded register-ALU instruction (the
-  /// batchable subset plus the clock/special reads step_fast routes here).
-  void exec_alu(const DecodedInstr& d, WarpState& ws, Mask exec,
-                bool converged, std::uint32_t base_thread, std::uint64_t now);
 
   void transfer(WarpState& ws, BlockId next);
   void park(WarpState& ws, BlockId reconv, Mask m);
@@ -283,9 +267,10 @@ class BlockExec {
   SharedMemory smem_;
   std::vector<WarpState> warps_;
 
+  // The compiled kernel's programs; all null on the reference path.
   const DecodedProgram* dec_ = nullptr;
-  const ThreadedProgram* threaded_ = nullptr;  ///< step_run dispatch
-  const TraceProgram* traces_ = nullptr;       ///< step_run trace heads
+  const ThreadedProgram* threaded_ = nullptr;  ///< exec_op's handlers
+  const TraceProgram* traces_ = nullptr;       ///< one trace per run head
   std::uint64_t* trace_hits_ = nullptr;        ///< counts exec_trace entries
   ConflictMemo* cmemo_ = nullptr;  ///< optional, fast path only
   /// Mask of lanes that exist at this warp size; `exec` covering all of

@@ -86,8 +86,9 @@ struct LaunchStats {
   std::uint64_t decode_cache_misses = 0;
   /// Fast-path run totals (zero on the reference path): converged runs
   /// dispatched through a compiled superblock trace (traces.hpp), by either
-  /// executor, and boundary memory steps executed fused into the run
-  /// dispatch that preceded them (functional executor only).
+  /// executor, and memory steps that terminate such a run, stepped straight
+  /// after its dispatch (DecodedRun::fuse_boundary; functional executor
+  /// only).
   std::uint64_t traces_entered = 0;
   std::uint64_t fused_boundary_ops = 0;
   std::uint64_t pick_heap_pops = 0;  ///< retired, always zero (see above)

@@ -151,7 +151,7 @@ template <typename T>
   return false;
 }
 
-/// The kSetp lane loop, shared by exec_alu and the threaded handlers: the
+/// The kSetp lane loop of the kSetp* handlers (threaded_handlers.inc): the
 /// comparison is dispatched once, outside the loop, to a branchless loop
 /// that accumulates lane l's bit by shift-or - eval_cmp's operators, one
 /// loop per operator. `at_a(l)`/`at_b(l)` give lane l's operands in the
@@ -176,7 +176,7 @@ template <typename AtA, typename AtB>
   return r;
 }
 
-/// kFMin and kFMax for exec_alu and the threaded handlers: C's fmin and
+/// kFMin and kFMax for the handlers (threaded_handlers.inc): C's fmin and
 /// fmax as this host's libm computes them, with the operand order fixed. A
 /// NaN operand yields the other operand, two NaNs the first, and otherwise
 /// the result is a < b ? a : b (a > b ? a : b), so a tie of +0 and -0
@@ -192,7 +192,7 @@ template <typename AtA, typename AtB>
   return a > b ? a : b;
 }
 
-/// kF2I's conversion for exec_alu and the threaded handlers, PTX
+/// kF2I's conversion for the kF2I handler (threaded_handlers.inc), PTX
 /// cvt.rzi.u32.f32: truncate toward zero and saturate - NaN and values
 /// <= 0 give 0, values >= 2^32 (+inf included) give 0xFFFFFFFF. A plain
 /// cast is undefined outside (-1, 2^32), and the x86 conversion sequences

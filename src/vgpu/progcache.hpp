@@ -4,7 +4,7 @@
 // was launched hundreds of times in a sweep - bench loops, the figure
 // drivers and the fuzz suites all relaunch identical kernels. The cache
 // compiles a Program once into a CompiledKernel - the DecodedProgram plus
-// its threaded-code twin (threaded.hpp) and superblock traces (traces.hpp)
+// its compiled handlers (threaded.hpp) and superblock traces (traces.hpp)
 // - and hands out shared ownership, so repeat launches skip the whole
 // decode + compile step.
 //
@@ -44,7 +44,7 @@ class CompiledKernel {
   [[nodiscard]] const DecodedProgram& decoded() const { return dec_; }
   [[nodiscard]] const ThreadedProgram& threaded() const { return threaded_; }
   /// Superblock traces compiled from the threaded program (traces.hpp);
-  /// the functional fast path installs these beside the threaded stream.
+  /// a fast-path BlockExec runs every whole run through one of them.
   [[nodiscard]] const TraceProgram& traces() const { return traces_; }
 
  private:

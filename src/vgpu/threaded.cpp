@@ -18,71 +18,31 @@ namespace {
 }
 
 // Every handler body, written exactly once (threaded_handlers.inc) and
-// expanded into both dispatch loops here (computed goto and portable
-// switch) plus the superblock trace dispatcher (traces.cpp). The bodies are
-// the expressions of the corresponding exec_alu cases in interp.cpp
-// verbatim, and the uniform shared load keeps step_fast's contracts - the
-// differential suites hold every loop bit-identical. A body may read `op`
-// (the current ThreadedOp), `R` (lane storage), `preds` (the predicate
-// file, which the predicate writers also write), `ctx`, and the lane count
-// `lanes` (a compile-time 32 on the warp-size-32 instantiation, which is
-// what lets the compiler unroll/vectorize the lane loops).
+// expanded into the switch here plus the superblock trace dispatcher
+// (traces.cpp). A body may read `op` (the current ThreadedOp), `R` (lane
+// storage), `preds` (the predicate file, which the predicate writers also
+// write), `ctx`, the lane count `lanes` (a compile-time 32 on the
+// warp-size-32 instantiation, which is what lets the compiler
+// unroll/vectorize the lane loops) and `kMasked` (compile time: skip the
+// lanes outside `ctx.active`; always set here, never in a trace).
 #include "vgpu/threaded_handlers.inc"
 
-// Portable fallback: one dense switch over the handler index per
-// instruction. Still much faster than exec_alu - operands are pre-resolved
-// rows and the switch is over a dense handler index, not the sparse opcode
-// space with per-case slot arithmetic.
 template <bool kWarp32>
-void exec_switch(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* R,
-                 std::uint32_t* preds, const ThreadedCtx& ctx) {
+void handler_switch(const ThreadedOp* op, std::uint32_t* R,
+                    std::uint32_t* preds, const ThreadedCtx& ctx) {
+  constexpr bool kMasked = true;
   const std::uint32_t lanes = kWarp32 ? 32u : ctx.warp_size;
-  const ThreadedOp* const end = ops + n;
-  for (const ThreadedOp* op = ops; op != end; ++op) {
-    switch (static_cast<THandler>(op->h)) {
+  switch (static_cast<THandler>(op->h)) {
 #define X(name, ...)      \
   case THandler::name: {  \
     __VA_ARGS__           \
   } break;
-      VGPU_THREADED_HANDLERS(X)
+    VGPU_THREADED_HANDLERS(X)
 #undef X
-      default:
-        VGPU_EXPECTS_MSG(false, "invalid threaded handler index");
-    }
+    default:
+      VGPU_EXPECTS_MSG(false, "invalid threaded handler index");
   }
 }
-
-#if defined(VGPU_HAVE_COMPUTED_GOTO)
-// Token-threaded dispatch: each handler jumps straight to the next
-// instruction's handler through a label table (GNU address-of-label), so
-// the dispatch is one indexed indirect jump per instruction - no bounds
-// check, no shared branch target for the predictor to serialize on.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpedantic"
-#if defined(__clang__)
-#pragma GCC diagnostic ignored "-Wgnu-label-as-value"
-#endif
-template <bool kWarp32>
-void exec_goto(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* R,
-               std::uint32_t* preds, const ThreadedCtx& ctx) {
-  const std::uint32_t lanes = kWarp32 ? 32u : ctx.warp_size;
-#define X(name, ...) &&L_##name,
-  static const void* const labels[] = {VGPU_THREADED_HANDLERS(X)};
-#undef X
-  const ThreadedOp* op = ops;
-  const ThreadedOp* const end = ops + n;
-  goto* labels[op->h];
-#define X(name, ...)        \
-  L_##name : {              \
-    __VA_ARGS__             \
-  }                         \
-  if (++op == end) return;  \
-  goto* labels[op->h];
-  VGPU_THREADED_HANDLERS(X)
-#undef X
-}
-#pragma GCC diagnostic pop
-#endif  // VGPU_HAVE_COMPUTED_GOTO
 
 }  // namespace
 
@@ -93,8 +53,14 @@ ThreadedProgram build_threaded(const DecodedProgram& dec) {
     return slot == kNoSlot ? 0u : slot * 32u;
   };
   for (std::size_t i = 0; i < dec.instrs.size(); ++i) {
-    if (dec.runs[i].len == 0) continue;  // never executed by step_run
     const DecodedInstr& d = dec.instrs[i];
+    // Memory ops, control flow and clock reads are step_fast's own cases;
+    // a shared load compiles only as a run member (decode() proved its
+    // address warp-uniform).
+    const bool compiled = d.op == Opcode::kLdShared
+                              ? dec.runs[i].len != 0
+                              : op_traits(d.op).run_eligible && !reads_clock(d);
+    if (!compiled) continue;
     ThreadedOp& op = tp.ops[i];
     op.dst = row_of(d.dst_slot);
     op.a = row_of(d.src_slot[0]);
@@ -169,13 +135,11 @@ ThreadedProgram build_threaded(const DecodedProgram& dec) {
           case Special::kLane: h = THandler::kLane; break;
           case Special::kWarpId: h = THandler::kWarpId; break;
           case Special::kSmId: h = THandler::kSmId; break;
-          case Special::kClock:
-            VGPU_EXPECTS_MSG(false, "%clock special inside a run");
-            break;
+          case Special::kClock: break;  // step_fast's own case
         }
         break;
       default:
-        VGPU_EXPECTS_MSG(false, "non-batchable instruction inside a run");
+        break;
     }
     VGPU_EXPECTS_MSG(h != THandler::kCount, "unmapped threaded handler");
     op.h = static_cast<std::uint32_t>(h);
@@ -183,37 +147,13 @@ ThreadedProgram build_threaded(const DecodedProgram& dec) {
   return tp;
 }
 
-void exec_threaded(const ThreadedOp* ops, std::uint32_t n, std::uint32_t* regs,
-                   std::uint32_t* preds, const ThreadedCtx& ctx) {
-  if (n == 0) return;
-#if defined(VGPU_HAVE_COMPUTED_GOTO)
+void exec_op(const ThreadedOp& op, std::uint32_t* regs, std::uint32_t* preds,
+             const ThreadedCtx& ctx) {
   if (ctx.warp_size == 32) {
-    exec_goto<true>(ops, n, regs, preds, ctx);
+    handler_switch<true>(&op, regs, preds, ctx);
   } else {
-    exec_goto<false>(ops, n, regs, preds, ctx);
+    handler_switch<false>(&op, regs, preds, ctx);
   }
-#else
-  exec_threaded_portable(ops, n, regs, preds, ctx);
-#endif
-}
-
-void exec_threaded_portable(const ThreadedOp* ops, std::uint32_t n,
-                            std::uint32_t* regs, std::uint32_t* preds,
-                            const ThreadedCtx& ctx) {
-  if (n == 0) return;
-  if (ctx.warp_size == 32) {
-    exec_switch<true>(ops, n, regs, preds, ctx);
-  } else {
-    exec_switch<false>(ops, n, regs, preds, ctx);
-  }
-}
-
-const char* threaded_dispatch_kind() {
-#if defined(VGPU_HAVE_COMPUTED_GOTO)
-  return "computed-goto";
-#else
-  return "switch";
-#endif
 }
 
 }  // namespace vgpu

@@ -1,32 +1,28 @@
-// threaded.hpp - threaded-code execution of decoded straight-line runs.
+// threaded.hpp - the compiled form of a decoded program: one handler per
+// instruction the fast path executes through compiled code.
 //
-// Both executors' fast paths execute each converged straight-line run in
-// one dispatch: the functional executor through BlockExec::step_run, the
-// timing executor through the pending range of instructions it issued for
-// timing only (BlockExec::issue_timing_only). Instead of looping the
-// per-instruction `switch (d.op)` of exec_alu over the run, this backend
-// compiles each batchable decoded instruction once per program into a
-// ThreadedOp - a dense handler index plus operand row offsets premultiplied
-// for lane storage - and executes whole runs through a computed-goto
-// dispatch loop (GCC/Clang `&&label` token threading), falling back to a
-// portable dense-switch loop when the extension is unavailable
-// (configure-time: the build defines VGPU_HAVE_COMPUTED_GOTO when the
-// probe in src/vgpu/CMakeLists.txt compiles; GCM_PORTABLE_DISPATCH=ON
-// forces the fallback).
+// build_threaded compiles each such decoded instruction once per program
+// into a ThreadedOp - a dense handler index plus operand row offsets
+// premultiplied for lane storage. Two dispatchers execute ThreadedOps, both
+// expanded from the one handler text (threaded_handlers.inc):
 //
-// Both dispatch loops are required to be bit-identical to step_fast, which
-// still single-steps the same opcodes for divergent warps and guarded
-// instructions; the ALU and predicate handler bodies are the exact
-// expressions of the corresponding exec_alu cases, and the uniform shared
-// load keeps step_fast's alignment and bounds contracts. These loops run
-// single-instruction runs and the partial ranges of the shared-store flush
-// only - every longer run executes through its superblock trace
-// (traces.hpp) - and are compiled for the baseline instruction set alone;
-// the trace dispatcher also has an AVX2 copy.
-// threaded_dispatch_test runs the two loops side by side over every
-// handler, and the differential suites (fuzz_differential_test,
-// fastpath_equivalence_test) compare both executors, which run them,
-// against the reference interpreter.
+//   * the superblock traces (traces.hpp), which execute every whole
+//     straight-line run of a converged warp - step_run's runs and the
+//     timing executor's pending ranges (BlockExec::issue_timing_only);
+//   * exec_op, one switch over the handler index, which executes a single
+//     instruction over the lanes of a mask: the ALU ops, moves and
+//     predicate writers step_fast single-steps (guarded, divergent, or
+//     outside any run), and the part of a pending range that does not
+//     cover its whole run (the shared-store flush, BlockExec::step_fast).
+//
+// Both are required to be bit-identical to the reference interpreter
+// (step_ref), which keeps its own hand-written semantics as the
+// independent oracle; the uniform shared load keeps step_fast's alignment
+// and bounds contracts. threaded_dispatch_test runs the switch beside a
+// trace over every handler, fuzz_differential_test checks every trace
+// against step_ref, and the differential suites (fuzz_differential_test,
+// fastpath_equivalence_test) compare both executors against the reference
+// interpreter.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +34,11 @@ namespace vgpu {
 
 struct DecodedProgram;
 
-/// Dense handler set of the threaded executor: exactly the run members
-/// (decode.hpp, DecodedRun) - the run-eligible opcodes of opclass.hpp plus
-/// the warp-uniform shared load - with kMovSpecial split per special
-/// register and kSetp per compare domain and second-operand kind, so those
-/// selects happen at compile time, not per lane.
+/// Dense handler set of the compiled code: the run-eligible opcodes of
+/// opclass.hpp (all but the %clock read) plus the warp-uniform shared load
+/// of runs, with kMovSpecial split per special register and kSetp per
+/// compare domain and second-operand kind, so those selects happen at
+/// compile time, not per lane.
 enum class THandler : std::uint8_t {
   kFAdd, kFSub, kFMul, kFFma, kFRcp, kFRsqrt, kFNeg, kFAbs, kFMin, kFMax,
   kIAdd, kISub, kIMul, kIMad, kIAddImm, kShl, kShr, kAnd, kOr, kXor,
@@ -61,14 +57,17 @@ inline constexpr std::size_t kTHandlerCount =
 /// for kSel and the CmpOp for kSetp*; the predicate writers' `dst` (and
 /// kPAnd/kPOr/kPNot's `a`/`b`) are predicate indices; kLdSharedU's `b` is 1
 /// when the address has a base register (`a`) and `c` its width in words.
-/// Only positions inside a decoded run hold a valid entry.
+/// Instructions build_threaded does not compile (memory ops but the
+/// uniform shared load of a run, control flow, clock reads) hold
+/// `h == kTHandlerCount`, which no dispatcher executes.
 struct ThreadedOp {
   std::uint32_t dst = 0;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
   std::uint32_t c = 0;
   std::uint32_t imm = 0;
-  std::uint32_t h = 0;  ///< THandler index
+  /// THandler index
+  std::uint32_t h = static_cast<std::uint32_t>(THandler::kCount);
 };
 
 /// The compiled stream, parallel to DecodedProgram::instrs. Immutable after
@@ -90,34 +89,24 @@ struct ThreadedCtx {
   std::uint32_t warp_index = 0;
   std::uint32_t base_thread = 0;
   std::uint32_t warp_size = 32;
-  /// The warp's active mask: a predicate write is (p & ~active) |
-  /// (result & active), exec_alu's write for a converged warp.
+  /// The lanes that execute: the warp's active mask, and for a single
+  /// step also its guard. A predicate write is (p & ~active) |
+  /// (result & active); exec_op writes registers of these lanes only.
   std::uint32_t active = 0xFFFFFFFFu;
   /// The block's shared memory words, `shared_bytes` long (kLdSharedU).
   const std::uint32_t* shared = nullptr;
   std::uint32_t shared_bytes = 0;
 };
 
-/// Compile the batchable instructions of a decoded program. Entries outside
-/// runs are left defaulted and must never be executed.
+/// Compile every decoded instruction the fast path executes through a
+/// handler: the members of decoded runs, and every other instruction of a
+/// run-eligible opcode but the %clock read.
 [[nodiscard]] ThreadedProgram build_threaded(const DecodedProgram& dec);
 
-/// Execute `n` compiled instructions on a fully converged warp (`regs` is
-/// the warp's lane storage, `preds` its predicate file: run members write
-/// both, and read shared memory through `ctx`). Dispatches through
-/// computed goto when the build has it, else through the portable loop.
-void exec_threaded(const ThreadedOp* ops, std::uint32_t n,
-                   std::uint32_t* regs, std::uint32_t* preds,
-                   const ThreadedCtx& ctx);
-
-/// The portable dense-switch twin, always compiled so the fallback is
-/// differential-tested even on builds that default to computed goto.
-void exec_threaded_portable(const ThreadedOp* ops, std::uint32_t n,
-                            std::uint32_t* regs, std::uint32_t* preds,
-                            const ThreadedCtx& ctx);
-
-/// "computed-goto" or "switch": what exec_threaded dispatches through in
-/// this build (benchmark/doc reporting).
-[[nodiscard]] const char* threaded_dispatch_kind();
+/// Execute one compiled instruction (`regs` is the warp's lane storage,
+/// `preds` its predicate file, `ctx.active` the lanes that execute): the
+/// handler's lane loop skips the lanes outside `ctx.active`.
+void exec_op(const ThreadedOp& op, std::uint32_t* regs, std::uint32_t* preds,
+             const ThreadedCtx& ctx);
 
 }  // namespace vgpu

@@ -594,16 +594,14 @@ void TimedRun::do_dispatch(Sm& sm, std::size_t slot, std::uint32_t sm_id,
   if (fast_ && rb.exec) {
     rb.exec->reset(bp);  // reuse the slot's arenas instead of reallocating
   } else {
-    rb.exec = std::make_unique<BlockExec>(prog_, spec_, gmem_, bp, decp_);
-    if (fast_) {
-      // The SM->worker map is static (s % nthreads_), so this exec's shared
-      // steps only ever touch its owning worker's memo - no sharing across
-      // threads. Installed once; reset() keeps the pointer.
-      WorkerCtx& ctx = workers_[sm_id % nthreads_];
-      rb.exec->set_conflict_memo(ctx.cmemo ? &*ctx.cmemo : nullptr);
-      rb.exec->set_run_programs(ck_->threaded(), ck_->traces(),
-                                &ctx.stats.traces_entered);
-    }
+    // The SM->worker map is static (s % nthreads_), so this exec's shared
+    // steps and trace entries only ever touch its owning worker's memo and
+    // counters - no sharing across threads. Installed once; reset() keeps
+    // the pointers.
+    WorkerCtx& ctx = workers_[sm_id % nthreads_];
+    rb.exec = std::make_unique<BlockExec>(prog_, spec_, gmem_, bp, ck_.get(),
+                                          &ctx.stats.traces_entered);
+    rb.exec->set_conflict_memo(ctx.cmemo ? &*ctx.cmemo : nullptr);
   }
   rb.reg_ready.assign(
       static_cast<std::size_t>(prog_.reg_file_size) * warps_per_block_, 0);

@@ -26,17 +26,21 @@ namespace {
 #endif
 
 // One inlinable function per handler body, so segment loops and pair fusions
-// compose the exact same lane operations the threaded loops expand.
+// compose the exact same lane operations the per-instruction switch
+// (threaded.cpp) expands. A trace runs on a converged warp, so its lane
+// loops are the plain, unmasked ones.
 #define X(name, ...)                                                        \
   template <bool kWarp32>                                                   \
   VGPU_TRACE_INLINE void body_##name(                                       \
-      const ThreadedOp* op, std::uint32_t* R, std::uint32_t* preds,   \
+      const ThreadedOp* op, std::uint32_t* R, std::uint32_t* preds,         \
       const ThreadedCtx& ctx) {                                             \
     const std::uint32_t lanes = kWarp32 ? 32u : ctx.warp_size;              \
+    constexpr bool kMasked = false;                                         \
     (void)R;                                                                \
     (void)preds;                                                            \
     (void)ctx;                                                              \
     (void)lanes;                                                            \
+    (void)kMasked;                                                          \
     __VA_ARGS__                                                             \
   }
 VGPU_THREADED_HANDLERS(X)
@@ -136,7 +140,7 @@ TraceProgram build_traces(const DecodedProgram& dec,
                                 : dec.instrs.size();
     for (std::size_t i = begin; i < end; ++i) {
       const DecodedRun& run = dec.runs[i];
-      if (run.len < 2) continue;
+      if (run.len == 0) continue;
       // Heads only: a position mid-run (its predecessor continues a run)
       // is never where step_run enters a run.
       if (i != begin && dec.runs[i - 1].len != 0) continue;

@@ -1,37 +1,38 @@
 // traces.hpp - superblock traces: shape-specialized compilation of decoded
 // straight-line runs.
 //
-// The threaded backend (threaded.hpp) already collapses per-instruction
-// interpretation to one indirect jump per op. This layer removes most of
-// those jumps too: at compile time every maximal converged run is flattened
-// into a *trace* - its ThreadedOps copied into one contiguous arena and
-// partitioned into segments the dispatcher can execute as a whole:
+// Every whole run a converged warp executes goes through its trace. At
+// compile time every maximal run - a single instruction included - is
+// flattened into a *trace*: its ThreadedOps (threaded.hpp) copied into one
+// contiguous arena and partitioned into segments the dispatcher can execute
+// as a whole:
 //
 //   * uniform segments - N consecutive ops sharing one handler run as a
 //     single tight loop (one dispatch for the whole stretch);
 //   * pair segments - the FMA-chain idiom (alternating mul/add, fma/add,
 //     mul/sub pairs of the force kernels) fuses both handler bodies into
 //     one dispatch per pair, halving the jump count of the chain;
-//   * everything else falls back to one dispatch per op, exactly like the
-//     threaded loop.
+//   * everything else is one dispatch per op.
 //
-// Handler bodies are the VGPU_THREADED_HANDLERS expansions (threaded.cpp)
-// verbatim - a trace performs the same register writes, predicate writes
-// and warp-uniform shared reads in the same order as exec_threaded, so
-// trace dispatch is bit-identical by construction, and the differential
-// suites check both executors, which dispatch every trace, against the
-// reference interpreter. The dispatcher is the one code path compiled
-// twice: a baseline copy and, on x86-64, an AVX2 copy (eight lanes per
-// vector instruction, no FMA) that exec_trace selects on hosts that have
-// it; the tests run both copies (exec_trace_baseline).
+// Handler bodies are the VGPU_THREADED_HANDLERS expansions verbatim, the
+// text the per-instruction switch (exec_op) expands too - a trace performs
+// the same register writes, predicate writes and warp-uniform shared reads
+// in the same order as exec_op over its run, so the two are bit-identical
+// by construction; FuzzSeed.SpecializedMatchesPlain checks every trace of
+// its programs against the reference interpreter, and the differential
+// suites check both executors, which dispatch every trace, against it too.
+// The dispatcher is the one code path compiled twice: a baseline copy and,
+// on x86-64, an AVX2 copy (eight lanes per vector instruction, no FMA) that
+// exec_trace selects on hosts that have it; the tests run both copies
+// (exec_trace_baseline).
 //
 // Traces exist only at run *heads* - the only place a converged warp enters
 // a run, since a warp's mask cannot change inside one: BlockExec::step_run
 // starts there (again on every iteration of a loop it continues across a
-// back-edge), and a timing-only pending range normally starts there - and
-// only runs of length >= 2 get one; single-instruction runs go through the
-// threaded loop, and so does a pending range that does not cover its whole
-// run (one cut by a shared store of another warp, BlockExec::step_fast).
+// back-edge), and a timing-only pending range normally starts there. A
+// pending range that does not cover its whole run (cut by a shared store of
+// another warp, BlockExec::step_fast, or resumed after such a cut) executes
+// one instruction at a time through exec_op instead.
 #pragma once
 
 #include <cstdint>
@@ -86,17 +87,19 @@ struct TraceProgram {
   std::vector<std::uint32_t> trace_at;
 };
 
-/// Compile every maximal run of length >= 2 into a trace. `tp` must be
+/// Compile every maximal run into a trace. `tp` must be
 /// `build_threaded(dec)` for the same decoded program.
 [[nodiscard]] TraceProgram build_traces(const DecodedProgram& dec,
                                         const ThreadedProgram& tp);
 
-/// Execute trace `trace` on a fully converged warp. Same contract as
-/// exec_threaded for the run the trace was compiled from, and bit-identical
-/// to it in every architectural effect. On x86-64 the dispatcher exists in
-/// two instruction-set copies compiled from one text - baseline and AVX2,
-/// eight lanes per vector instruction - and the process picks one at its
-/// first call: AVX2 where the host supports it (trace_dispatch_isa()).
+/// Execute trace `trace` on a fully converged warp (`regs` is the warp's
+/// lane storage, `preds` its predicate file: run members write both, and
+/// read shared memory through `ctx`). Bit-identical in every architectural
+/// effect to exec_op over the run the trace was compiled from. On x86-64
+/// the dispatcher exists in two instruction-set copies compiled from one
+/// text - baseline and AVX2, eight lanes per vector instruction - and the
+/// process picks one at its first call: AVX2 where the host supports it
+/// (trace_dispatch_isa()).
 void exec_trace(const TraceProgram& tp, std::uint32_t trace,
                 std::uint32_t* regs, std::uint32_t* preds,
                 const ThreadedCtx& ctx);

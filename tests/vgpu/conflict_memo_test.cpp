@@ -9,16 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "vgpu/builder.hpp"
-#include "vgpu/decode.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/executor.hpp"
 #include "vgpu/memo.hpp"
 #include "vgpu/memory.hpp"
 #include "vgpu/opt.hpp"
+#include "vgpu/progcache.hpp"
 #include "vgpu/regalloc.hpp"
 #include "vgpu/timing.hpp"
 
@@ -143,10 +144,12 @@ TEST(ConflictParityTest, ReferenceAndFastPathsReportIdenticalDegrees) {
   Buffer out = dev.malloc_n<float>(256);
   const std::uint32_t params[2] = {unused.addr, out.addr};
   const LaunchConfig cfg{2, 128};
-  const DecodedProgram dec = decode(prog);
+  const std::shared_ptr<const CompiledKernel> ck =
+      acquire_compiled(prog, /*use_cache=*/false);
   const BlockParams bp{0, cfg, params, 0, nullptr};
-  BlockExec ref(prog, dev.spec(), dev.gmem(), bp, nullptr);
-  BlockExec fast(prog, dev.spec(), dev.gmem(), bp, &dec);
+  std::uint64_t traces_entered = 0;
+  BlockExec ref(prog, dev.spec(), dev.gmem(), bp);
+  BlockExec fast(prog, dev.spec(), dev.gmem(), bp, ck.get(), &traces_entered);
 
   std::uint32_t shared_steps = 0;
   bool saw_conflict = false;

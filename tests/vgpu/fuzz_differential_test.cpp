@@ -11,11 +11,10 @@
 // models, demanding bit-identical memory results and identical
 // LaunchStats::core() - cycles included in timing mode. Timed runs are
 // also checked against the serial driver's recorded results
-// (serial_golden.hpp). Two more axes pit the fast paths' dispatch
-// machinery against each other: whole-run dispatch (functional) against
-// timing-only issue with the run executed at its terminator (timed), and
-// superblock traces against the plain threaded loops they were compiled
-// from.
+// (serial_golden.hpp). Two more axes check the fast paths' dispatch
+// machinery: whole-run dispatch (functional) against timing-only issue
+// with the run executed at its terminator (timed), and every superblock
+// trace against the reference interpreter stepping its run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +25,10 @@
 #include <vector>
 
 #include "vgpu/builder.hpp"
+#include "vgpu/decode.hpp"
 #include "vgpu/device.hpp"
+#include "vgpu/interp.hpp"
+#include "vgpu/memory.hpp"
 #include "vgpu/opt.hpp"
 #include "vgpu/progcache.hpp"
 #include "vgpu/regalloc.hpp"
@@ -385,10 +387,9 @@ TEST_P(FuzzSeed, AttributionReconcilesAcrossConfigs) {
 // every converged straight-line run in one step_run dispatch, while the
 // timed fast path issues the run's instructions one at a time for timing
 // only and executes the pending range once at the run's terminator. Both
-// go through the same superblock trace or threaded-code loop, so for every
-// seed and driver they must enter the same number of traces, leave
-// bit-identical memory and count the same instructions and memory traffic,
-// at 1/2/4 timing threads.
+// go through the run's superblock trace, so for every seed and driver they
+// must enter the same number of traces, leave bit-identical memory and
+// count the same instructions and memory traffic, at 1/2/4 timing threads.
 TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -418,12 +419,15 @@ TEST_P(FuzzSeed, ThreadedDispatchMatchesSwitch) {
 
 // Sixth differential axis: specialized run execution. Every superblock
 // trace compiled for the seed's program (traces.hpp: uniform and FMA-pair
-// segments) must leave a warp's registers and predicates bit-identical to
-// the plain threaded loops over the run it was compiled from - the
-// computed-goto loop and its portable switch twin - from the same register
-// and predicate contents; so must both instruction-set copies of the trace
-// dispatcher (exec_trace's and the baseline one). Part of the lanes hold
-// edge values: signed zeros, infinities, NaN, denormals, 2^31, 2^32, 5e9.
+// segments, and the one-op traces of single-instruction runs) must leave a
+// warp's registers and predicates bit-identical to the reference
+// interpreter stepping the run it was compiled from, one instruction at a
+// time, from the same register and predicate contents; so must both
+// instruction-set copies of the trace dispatcher (exec_trace's and the
+// baseline one). The reference interpreter keeps its own semantics, apart
+// from the handler text the traces expand, so it is an independent oracle.
+// Part of the lanes hold edge values: signed zeros, infinities, NaN,
+// denormals, 2^31, 2^32, 5e9.
 TEST_P(FuzzSeed, SpecializedMatchesPlain) {
   RandomKernelGen gen(GetParam());
   Program p = gen.generate();
@@ -435,7 +439,6 @@ TEST_P(FuzzSeed, SpecializedMatchesPlain) {
       acquire_compiled(p, /*use_cache=*/false);
   const DecodedProgram& dec = ck->decoded();
   const TraceProgram& traces = ck->traces();
-  const ThreadedOp* const ops = ck->threaded().ops.data();
   ASSERT_EQ(traces.trace_at.size(), dec.instrs.size());
 
   // lane contents like a launch's - finite floats and small integers - and
@@ -457,50 +460,64 @@ TEST_P(FuzzSeed, SpecializedMatchesPlain) {
   }
   std::vector<std::uint32_t> preds(std::max(p.num_preds, 1u));
   for (std::uint32_t& m : preds) m = static_cast<std::uint32_t>(rng());
+
+  // The oracle: warp 1 of block 1 of a 2 x 64 launch on the reference
+  // interpreter, and the same context for the traces. Runs touch no global
+  // memory; their shared loads read the block's zeroed shared memory.
   const std::uint32_t params[2] = {0x1000u, 0x9000u};
+  const DeviceSpec spec = g80_spec();
+  GlobalMemory gmem(4096);
+  const LaunchConfig cfg{2, 64};
+  BlockExec ref(p, spec, gmem, BlockParams{1, cfg, params, 0, nullptr});
+  WarpState& ws = ref.warp(1);
+  const std::vector<std::uint32_t> shared((std::max(p.shared_bytes, 4u) + 3) /
+                                          4);
   ThreadedCtx ctx;
   ctx.params = params;
   ctx.block_id = 1;
-  ctx.block_threads = 64;
-  ctx.grid_blocks = 2;
+  ctx.block_threads = cfg.block_threads;
+  ctx.grid_blocks = cfg.grid_blocks;
   ctx.warp_index = 1;
   ctx.base_thread = 32;
+  ctx.shared = shared.data();
+  ctx.shared_bytes = std::max(p.shared_bytes, 4u);
 
   std::size_t checked = 0;
   for (std::size_t i = 0; i < traces.trace_at.size(); ++i) {
     const std::uint32_t t = traces.trace_at[i];
     if (t == kNoTrace) continue;
     const std::uint32_t len = dec.runs[i].len;
+    const auto block = static_cast<BlockId>(
+        std::upper_bound(dec.block_start.begin(), dec.block_start.end(), i) -
+        dec.block_start.begin() - 1);
+    std::copy(regs.begin(), regs.end(), ws.regs);
+    std::copy_n(preds.begin(), p.num_preds, ws.preds);
+    ws.block = block;
+    ws.ip = static_cast<std::uint32_t>(i - dec.block_start[block]);
+    for (std::uint32_t k = 0; k < len; ++k) (void)ref.step(1, 0);
+    const std::vector<std::uint32_t> want(ws.regs, ws.regs + regs.size());
+    std::vector<std::uint32_t> want_preds = preds;
+    std::copy_n(ws.preds, p.num_preds, want_preds.begin());
+
     std::vector<std::uint32_t> via_trace = regs;
     std::vector<std::uint32_t> via_baseline = regs;
-    std::vector<std::uint32_t> via_goto = regs;
-    std::vector<std::uint32_t> via_switch = regs;
     std::vector<std::uint32_t> preds_trace = preds;
     std::vector<std::uint32_t> preds_baseline = preds;
-    std::vector<std::uint32_t> preds_goto = preds;
-    std::vector<std::uint32_t> preds_switch = preds;
     exec_trace(traces, t, via_trace.data(), preds_trace.data(), ctx);
     exec_trace_baseline(traces, t, via_baseline.data(), preds_baseline.data(),
                         ctx);
-    exec_threaded(ops + i, len, via_goto.data(), preds_goto.data(), ctx);
-    exec_threaded_portable(ops + i, len, via_switch.data(),
-                           preds_switch.data(), ctx);
-    EXPECT_EQ(via_trace, via_goto)
+    EXPECT_EQ(via_trace, want)
         << "trace " << t << " at instr " << i << " (" << trace_dispatch_isa()
-        << " copy) left the threaded loop";
-    EXPECT_EQ(via_baseline, via_goto)
+        << " copy) left the reference interpreter";
+    EXPECT_EQ(via_baseline, want)
         << "trace " << t << " at instr " << i
-        << " (baseline copy) left the threaded loop";
-    EXPECT_EQ(via_switch, via_goto)
-        << "portable loop diverged on the run at instr " << i;
-    EXPECT_EQ(preds_trace, preds_goto)
+        << " (baseline copy) left the reference interpreter";
+    EXPECT_EQ(preds_trace, want_preds)
         << "trace " << t << " at instr " << i << " (" << trace_dispatch_isa()
-        << " copy) left the threaded loop's predicates";
-    EXPECT_EQ(preds_baseline, preds_goto)
+        << " copy) left the reference interpreter's predicates";
+    EXPECT_EQ(preds_baseline, want_preds)
         << "trace " << t << " at instr " << i
-        << " (baseline copy) left the threaded loop's predicates";
-    EXPECT_EQ(preds_switch, preds_goto)
-        << "portable loop's predicates diverged on the run at instr " << i;
+        << " (baseline copy) left the reference interpreter's predicates";
     ++checked;
   }
   EXPECT_GT(checked, 0u) << "no trace compiled for the seed's program";

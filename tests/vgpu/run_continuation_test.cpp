@@ -11,8 +11,9 @@
 //    executor's %clock is pseudo-time (issued instructions * 4), so every
 //    branch step_run executes must count as issued;
 //  * F2IConversion.SaturatesLikeCvtRzi - f2i is PTX cvt.rzi.u32.f32 for
-//    every input (NaN, infinities, values beyond 2^32), on each fast-path
-//    implementation of it: a trace, the threaded loop and exec_alu.
+//    every input (NaN, infinities, values beyond 2^32), through each
+//    dispatcher of its handler: a one-op trace, a longer trace and the
+//    per-instruction switch under a partial mask.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -162,11 +163,11 @@ std::uint32_t cvt_rzi_u32(float f) {
   return static_cast<std::uint32_t>(std::trunc(static_cast<double>(f)));
 }
 
-/// Each thread converts its input word three times, through each fast-path
-/// implementation of f2i: alone between a load and a store (a
-/// single-instruction run: the threaded loop), inside a longer run (a
-/// trace), and under a divergent branch (exec_alu). Output word k of
-/// thread t is at k * threads + t.
+/// Each thread converts its input word three times, through each dispatcher
+/// of the f2i handler: alone between a load and a store (a
+/// single-instruction run: a one-op trace), inside a longer run (a longer
+/// trace), and under a divergent branch (the per-instruction switch, masked).
+/// Output word k of thread t is at k * threads + t.
 Program make_f2i_kernel(std::uint32_t total_threads) {
   KernelBuilder kb("f2i_edges", 2);
   Val i = kb.iadd(kb.imul(kb.ctaid(), kb.ntid()), kb.tid());
@@ -191,7 +192,7 @@ TEST(F2IConversion, SaturatesLikeCvtRzi) {
   const Program prog = make_f2i_kernel(n);
 
   // The first two conversions sit in runs of one and of several
-  // instructions (the threaded loop and a trace).
+  // instructions (a one-op trace and a longer one).
   const DecodedProgram dec = decode(prog);
   std::vector<std::uint32_t> f2i_run_lens;
   for (std::size_t k = 0; k < dec.instrs.size(); ++k) {

@@ -1,13 +1,14 @@
 // Specialized run execution of the functional fast path - superblock
-// traces and boundary-step fusion - on the pinned application kernels, and
-// the trace-cache keying/invalidation contract.
+// traces, and the memory terminators stepped straight after them (fused
+// boundary ops) - on the pinned application kernels, and the trace-cache
+// keying/invalidation contract.
 //
 // The paper's real kernel variants - rolled barrier-heavy shared tiling,
 // unrolled + icm, the register-capped spill kernel, texture fetches, and
 // the untiled global-read ablation - pin fast-vs-reference parity on every
 // memory subsystem a run can terminate with, and witness that the
-// functional fast path actually enters traces and fuses boundary ops on
-// each of them.
+// functional fast path actually enters traces and counts fused boundary
+// ops on each of them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,11 +88,11 @@ class FarfieldHarness {
   LaunchConfig cfg_{};
 };
 
-// Every pinned kernel variant: the fast path (functional: traces + fusion)
-// must be bit-identical to the reference interpreter - memory and
+// Every pinned kernel variant: the fast path (functional: traces) must be
+// bit-identical to the reference interpreter - memory and
 // LaunchStats::core(), cycles included in timing mode - and the functional
 // fast path must actually take the specialized path (traces entered,
-// boundary ops fused).
+// fused boundary ops counted).
 TEST(BoundaryFusion, ApplicationKernelParity) {
   struct Variant {
     const char* name;
@@ -163,23 +164,40 @@ TEST(TraceCache, KeyingAndInvalidation) {
       acquire_compiled(built.prog, /*use_cache=*/true, &hit);
   EXPECT_FALSE(hit) << "fresh cache reported a hit";
 
-  // structural consistency: trace ids only at run heads of length >= 2,
-  // each covering exactly its run, with at least one trace compiled
+  // structural consistency: every run head - a single-instruction run
+  // included - has exactly one trace, covering its whole run, and no other
+  // instruction has one
   const DecodedProgram& dec = k1->decoded();
   const TraceProgram& tp = k1->traces();
   ASSERT_EQ(tp.trace_at.size(), dec.instrs.size());
   std::size_t heads = 0;
-  for (std::size_t i = 0; i < tp.trace_at.size(); ++i) {
-    const std::uint32_t t = tp.trace_at[i];
-    if (t == kNoTrace) continue;
-    ++heads;
-    ASSERT_LT(t, tp.traces.size());
-    EXPECT_GE(tp.traces[t].len, 2u) << "trace " << t << " below run threshold";
-    EXPECT_EQ(tp.traces[t].len, dec.runs[i].len)
-        << "trace " << t << " does not cover its run";
-    EXPECT_GT(tp.traces[t].seg_count, 0u);
+  std::size_t single = 0;
+  std::vector<bool> used(tp.traces.size(), false);
+  for (std::size_t b = 0; b < dec.block_start.size(); ++b) {
+    const std::size_t end = b + 1 < dec.block_start.size()
+                                ? dec.block_start[b + 1]
+                                : dec.instrs.size();
+    for (std::size_t i = dec.block_start[b]; i < end; ++i) {
+      const bool head = dec.runs[i].len != 0 &&
+                        (i == dec.block_start[b] || dec.runs[i - 1].len == 0);
+      const std::uint32_t t = tp.trace_at[i];
+      if (!head) {
+        EXPECT_EQ(t, kNoTrace) << "trace at instr " << i << ", no run head";
+        continue;
+      }
+      ++heads;
+      single += dec.runs[i].len == 1 ? 1u : 0u;
+      ASSERT_LT(t, tp.traces.size()) << "run head " << i << " has no trace";
+      EXPECT_FALSE(used[t]) << "trace " << t << " serves two run heads";
+      used[t] = true;
+      EXPECT_EQ(tp.traces[t].len, dec.runs[i].len)
+          << "trace " << t << " does not cover its run";
+      EXPECT_GT(tp.traces[t].seg_count, 0u);
+    }
   }
+  EXPECT_EQ(tp.traces.size(), heads);
   EXPECT_GT(heads, 0u) << "no traces compiled for the application kernel";
+  EXPECT_GT(single, 0u) << "no single-instruction run in the kernel";
 
   // same content -> cache hit sharing the same compiled traces
   const std::shared_ptr<const CompiledKernel> k2 =

@@ -1,23 +1,24 @@
-// Threaded-code dispatch backend and decode cache.
+// Compiled handlers, their two dispatchers, and the decode cache.
 //
 // Three concerns, each pinned independently of the implementation:
 //
 //  1. The shared opcode table (opclass.hpp) - every column is compared
 //     against an oracle written directly from the ISA definition, so the
 //     table cannot silently drift when an opcode is added.
-//  2. The two dispatch loops - computed goto and the portable switch - are
-//     executed side by side over an op stream covering every THandler and
-//     must agree bit for bit (and, for the simple handlers, match values
-//     computed longhand here); so must the same stream compiled into one
-//     superblock trace, through each instruction-set copy of the trace
-//     dispatcher, also from rows of edge values.
+//  2. The two dispatchers of the handler text - the superblock trace and
+//     the per-instruction switch (exec_op) - are executed side by side
+//     over an op stream covering every THandler, under a full and under a
+//     partial mask, and must agree bit for bit (and, for the simple
+//     handlers, match values computed longhand here); so must each
+//     instruction-set copy of the trace dispatcher, also from rows of edge
+//     values.
 //  3. The decode cache (progcache.hpp) - hit/miss counters, structural
 //     keying, correctness across parameter changes, and private
 //     compilation.
 //
-// The executor-level differentials of the functional fast path, which
-// dispatches runs through these loops, against the reference interpreter
-// live in fuzz_differential_test.cpp and fastpath_equivalence_test.cpp.
+// The executor-level differentials of the fast paths, which run every
+// whole run through its trace, against the reference interpreter live in
+// fuzz_differential_test.cpp and fastpath_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "gravit/kernels.hpp"
+#include "vgpu/asm.hpp"
 #include "vgpu/builder.hpp"
 #include "vgpu/decode.hpp"
 #include "vgpu/device.hpp"
@@ -153,7 +155,7 @@ TEST(OpClassTable, EvalCmpMatchesOperators) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. computed-goto vs portable dispatch, all handlers
+// 2. trace vs per-instruction switch, all handlers
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kSlots = 24;
@@ -329,66 +331,75 @@ TraceProgram coverage_trace(const std::vector<ThreadedOp>& ops) {
   return build_traces(dec, tp);
 }
 
-TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
-  std::vector<ThreadedOp> ops = full_coverage_stream();
+/// `ops` through the per-instruction switch, one exec_op call each, as
+/// BlockExec::exec_run executes a range that is not a whole run.
+void run_switch(const std::vector<ThreadedOp>& ops,
+                std::vector<std::uint32_t>& regs,
+                std::vector<std::uint32_t>& preds, const ThreadedCtx& ctx) {
+  for (const ThreadedOp& op : ops) {
+    exec_op(op, regs.data(), preds.data(), ctx);
+  }
+}
+
+TEST(ThreadedDispatch, TraceAndSwitchAgreeOnAllHandlers) {
+  const std::vector<ThreadedOp> ops = full_coverage_stream();
   // every handler covered?
   std::array<bool, kTHandlerCount> hit{};
   for (const ThreadedOp& op : ops) hit[op.h] = true;
   for (std::size_t h = 0; h < kTHandlerCount; ++h) {
     EXPECT_TRUE(hit[h]) << "THandler " << h << " not covered by the stream";
   }
+  const TraceProgram traces = coverage_trace(ops);
+  ASSERT_EQ(traces.traces.size(), 1u);
 
-  const CoverageInputs in(/*edges=*/false);
+  CoverageInputs in(/*edges=*/false);
   const std::vector<std::uint32_t>& seed = in.regs;
   const std::vector<std::uint32_t>& seed_preds = in.preds;
   ASSERT_EQ(seed_preds.size(), kPreds);
   const std::vector<std::uint32_t>& shared = in.shared;
   const ThreadedCtx& ctx = in.ctx;
 
-  std::vector<std::uint32_t> via_goto = seed;
-  std::vector<std::uint32_t> via_portable = seed;
-  std::vector<std::uint32_t> preds_goto = seed_preds;
-  std::vector<std::uint32_t> preds_portable = seed_preds;
-  exec_threaded(ops.data(), static_cast<std::uint32_t>(ops.size()),
-                via_goto.data(), preds_goto.data(), ctx);
-  exec_threaded_portable(ops.data(), static_cast<std::uint32_t>(ops.size()),
-                         via_portable.data(), preds_portable.data(), ctx);
-  EXPECT_EQ(via_goto, via_portable)
-      << "dispatch kind: " << threaded_dispatch_kind();
-  EXPECT_EQ(preds_goto, preds_portable)
-      << "dispatch kind: " << threaded_dispatch_kind();
+  // Under the full mask the switch writes every lane the trace writes.
+  std::vector<std::uint32_t> via_trace = seed;
+  std::vector<std::uint32_t> via_switch = seed;
+  std::vector<std::uint32_t> preds_trace = seed_preds;
+  std::vector<std::uint32_t> preds_switch = seed_preds;
+  exec_trace(traces, 0, via_trace.data(), preds_trace.data(), ctx);
+  run_switch(ops, via_switch, preds_switch, ctx);
+  EXPECT_EQ(via_switch, via_trace);
+  EXPECT_EQ(preds_switch, preds_trace);
 
   // longhand predicate checks: the %laneid < 13 mask, a float compare
   // against an immediate, and the or/not chain built on it
-  EXPECT_EQ(preds_goto[4], 0x00001FFFu);
+  EXPECT_EQ(preds_trace[4], 0x00001FFFu);
   std::uint32_t ge_zero = 0;
   for (std::uint32_t l = 0; l < kLanes; ++l) {
     if (std::bit_cast<float>(seed[3 * kLanes + l]) >= 0.0f) ge_zero |= 1u << l;
   }
-  EXPECT_EQ(preds_goto[7], ge_zero);
-  EXPECT_EQ(preds_goto[3], ~(ge_zero | seed_preds[1]));
-  EXPECT_EQ(preds_goto[8], preds_goto[5] & preds_goto[6]);
+  EXPECT_EQ(preds_trace[7], ge_zero);
+  EXPECT_EQ(preds_trace[3], ~(ge_zero | seed_preds[1]));
+  EXPECT_EQ(preds_trace[8], preds_trace[5] & preds_trace[6]);
 
-  // longhand spot checks so a shared bug in both loops cannot hide:
+  // longhand spot checks so a shared bug in both dispatchers cannot hide:
   for (std::uint32_t l = 0; l < kLanes; ++l) {
     // kMovParam slot 12 was later overwritten; check kTid directly instead
-    EXPECT_EQ(via_goto[4 * kLanes + l], ctx.base_thread + l) << "lane " << l;
-    EXPECT_EQ(via_goto[5 * kLanes + l], ctx.block_id);
-    EXPECT_EQ(via_goto[6 * kLanes + l], ctx.block_threads);
-    EXPECT_EQ(via_goto[7 * kLanes + l], ctx.grid_blocks);
-    EXPECT_EQ(via_goto[8 * kLanes + l], l);
-    EXPECT_EQ(via_goto[9 * kLanes + l], ctx.warp_index);
-    EXPECT_EQ(via_goto[10 * kLanes + l], ctx.sm_id);
+    EXPECT_EQ(via_trace[4 * kLanes + l], ctx.base_thread + l) << "lane " << l;
+    EXPECT_EQ(via_trace[5 * kLanes + l], ctx.block_id);
+    EXPECT_EQ(via_trace[6 * kLanes + l], ctx.block_threads);
+    EXPECT_EQ(via_trace[7 * kLanes + l], ctx.grid_blocks);
+    EXPECT_EQ(via_trace[8 * kLanes + l], l);
+    EXPECT_EQ(via_trace[9 * kLanes + l], ctx.warp_index);
+    EXPECT_EQ(via_trace[10 * kLanes + l], ctx.sm_id);
     // kSel wrote last into slot 13: preds[1] bit l picks slot 2 else slot 3
     const std::uint32_t want =
         (seed_preds[1] >> l) & 1u ? seed[2 * kLanes + l] : seed[3 * kLanes + l];
-    EXPECT_EQ(via_goto[13 * kLanes + l], want) << "kSel lane " << l;
+    EXPECT_EQ(via_trace[13 * kLanes + l], want) << "kSel lane " << l;
     // the shared loads splat words 12..15 and word 2 into every lane
     for (std::uint32_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(via_goto[(20 + c) * kLanes + l], shared[12 + c])
+      EXPECT_EQ(via_trace[(20 + c) * kLanes + l], shared[12 + c])
           << "kLdSharedU word " << c << " lane " << l;
     }
-    EXPECT_EQ(via_goto[17 * kLanes + l], shared[2]) << "lane " << l;
+    EXPECT_EQ(via_trace[17 * kLanes + l], shared[2]) << "lane " << l;
   }
 
   // a shared load whose address differs between lanes (%laneid * 4 here)
@@ -396,42 +407,59 @@ TEST(ThreadedDispatch, GotoAndPortableAgreeOnAllHandlers) {
   const std::vector<ThreadedOp> bad = {
       make_op(THandler::kShl, 16, 8, 1, 0, 0),
       make_raw(THandler::kLdSharedU, 17 * kLanes, 16 * kLanes, 1, 1, 0)};
-  std::vector<std::uint32_t> lane_regs = via_goto;
+  const TraceProgram bad_trace = coverage_trace(bad);
+  ASSERT_EQ(bad_trace.traces.size(), 1u);
+  std::vector<std::uint32_t> lane_regs = via_trace;
   for (std::uint32_t l = 0; l < kLanes; ++l) lane_regs[1 * kLanes + l] = 2;
-  EXPECT_THROW(exec_threaded(bad.data(), 2, lane_regs.data(),
-                             preds_goto.data(), ctx),
+  std::vector<std::uint32_t> lane_preds = preds_trace;
+  EXPECT_THROW(exec_trace(bad_trace, 0, lane_regs.data(), lane_preds.data(),
+                          ctx),
                ContractViolation);
-  EXPECT_THROW(exec_threaded_portable(bad.data(), 2, lane_regs.data(),
-                                      preds_goto.data(), ctx),
-               ContractViolation);
+  EXPECT_THROW(run_switch(bad, lane_regs, lane_preds, ctx), ContractViolation);
+
+  // Under a partial mask (a guarded or divergent step) the switch writes
+  // the registers of the active lanes only - what the trace computes there
+  // - and leaves the other lanes as seeded; both write the predicates over
+  // the mask. Lane 0 stays active: the uniform shared load reads its base.
+  in.ctx.active = 0x0F0F0F0Fu;
+  via_trace = seed;
+  via_switch = seed;
+  preds_trace = seed_preds;
+  preds_switch = seed_preds;
+  exec_trace(traces, 0, via_trace.data(), preds_trace.data(), ctx);
+  run_switch(ops, via_switch, preds_switch, ctx);
+  EXPECT_EQ(preds_switch, preds_trace);
+  EXPECT_EQ(preds_switch[4],
+            (seed_preds[4] & ~ctx.active) | (0x00001FFFu & ctx.active));
+  for (std::uint32_t s = 0; s < kSlots; ++s) {
+    for (std::uint32_t l = 0; l < kLanes; ++l) {
+      const std::size_t k = std::size_t{s} * kLanes + l;
+      const bool active = ((ctx.active >> l) & 1u) != 0;
+      EXPECT_EQ(via_switch[k], active ? via_trace[k] : seed[k])
+          << "slot " << s << " lane " << l << (active ? " (active)" : "");
+    }
+  }
 }
 
 // Every handler in one superblock trace, run from plain and from
 // edge-valued rows: the trace dispatcher's baseline copy must leave the
-// registers and predicates both threaded loops leave.
+// registers and predicates the per-instruction switch leaves.
 TEST(ThreadedDispatch, TraceCopiesAgreeOnAllHandlers) {
   const std::vector<ThreadedOp> ops = full_coverage_stream();
   const TraceProgram traces = coverage_trace(ops);
   ASSERT_EQ(traces.traces.size(), 1u);
   ASSERT_EQ(traces.traces[0].len, ops.size());
-  const auto n = static_cast<std::uint32_t>(ops.size());
   for (const bool edges : {false, true}) {
     CoverageInputs in(edges);
     std::vector<std::uint32_t> via_trace = in.regs;
-    std::vector<std::uint32_t> via_goto = in.regs;
-    std::vector<std::uint32_t> via_portable = in.regs;
+    std::vector<std::uint32_t> via_switch = in.regs;
     std::vector<std::uint32_t> preds_trace = in.preds;
-    std::vector<std::uint32_t> preds_goto = in.preds;
-    std::vector<std::uint32_t> preds_portable = in.preds;
+    std::vector<std::uint32_t> preds_switch = in.preds;
     exec_trace_baseline(traces, 0, via_trace.data(), preds_trace.data(),
                         in.ctx);
-    exec_threaded(ops.data(), n, via_goto.data(), preds_goto.data(), in.ctx);
-    exec_threaded_portable(ops.data(), n, via_portable.data(),
-                           preds_portable.data(), in.ctx);
-    EXPECT_EQ(via_trace, via_goto) << "edges " << edges;
-    EXPECT_EQ(via_portable, via_goto) << "edges " << edges;
-    EXPECT_EQ(preds_trace, preds_goto) << "edges " << edges;
-    EXPECT_EQ(preds_portable, preds_goto) << "edges " << edges;
+    run_switch(ops, via_switch, preds_switch, in.ctx);
+    EXPECT_EQ(via_trace, via_switch) << "edges " << edges;
+    EXPECT_EQ(preds_trace, preds_switch) << "edges " << edges;
   }
 }
 
@@ -459,17 +487,62 @@ TEST(ThreadedDispatch, Avx2TraceCopyMatchesBaseline) {
   }
 }
 
+/// Oracle for what step_fast hands to the per-instruction switch: every
+/// instruction but its own cases - memory ops, control flow and the two
+/// clock reads, the only instructions that need the step's `now`.
+bool sent_to_switch(const DecodedInstr& d) {
+  switch (d.op) {
+    case Opcode::kLdGlobal: case Opcode::kStGlobal: case Opcode::kLdConst:
+    case Opcode::kLdTex: case Opcode::kLdLocal: case Opcode::kStLocal:
+    case Opcode::kLdShared: case Opcode::kStShared: case Opcode::kBar:
+    case Opcode::kExit: case Opcode::kBra: case Opcode::kBraCond:
+    case Opcode::kClock:
+      return false;
+    case Opcode::kMovSpecial:
+      return static_cast<Special>(d.imm) != Special::kClock;
+    default:
+      return true;
+  }
+}
+
 TEST(ThreadedDispatch, CompiledStreamParallelsDecodedProgram) {
-  gravit::BuiltKernel built = gravit::make_farfield_kernel({});
-  const DecodedProgram dec = decode(built.prog);
-  const ThreadedProgram tp = build_threaded(dec);
-  ASSERT_EQ(tp.ops.size(), dec.instrs.size());
-  // every instruction covered by a decoded run must have compiled to a
-  // valid handler with an in-range destination row
-  for (std::size_t i = 0; i < dec.runs.size(); ++i) {
-    for (std::uint32_t k = 0; k < dec.runs[i].len; ++k) {
-      const ThreadedOp& op = tp.ops[i + k];
-      EXPECT_LT(op.h, kTHandlerCount) << "instr " << i + k;
+  // The far-field kernel, and a listing with guarded ALU ops, predicate
+  // writers and both clock reads outside any run.
+  const Program guarded = assemble(R"(
+.kernel guarded  (params=1)
+B0:
+    mov.special r0, %tid
+    setp.lt.u32 p0, r0, 16
+    @p0 mov.imm r1, 0x7
+    @!p0 iadd r1, r0, r0
+    @p0 setp.lt.u32 p1, r0, 8
+    mov.special r2, %clock
+    clock r3
+    @!p0 sel r1, p1, r2, r3
+    st.global.32b [r0+0], r1
+    exit
+)");
+  const Program programs[] = {gravit::make_farfield_kernel({}).prog, guarded};
+  for (const Program& prog : programs) {
+    const DecodedProgram dec = decode(prog);
+    const ThreadedProgram tp = build_threaded(dec);
+    ASSERT_EQ(tp.ops.size(), dec.instrs.size());
+    // Every instruction a decoded run covers, or step_fast sends to the
+    // switch, compiled to a valid handler; the rest hold the sentinel no
+    // dispatcher executes.
+    std::size_t outside_runs = 0;
+    for (std::size_t i = 0; i < dec.instrs.size(); ++i) {
+      const bool in_run = dec.runs[i].len != 0;
+      const bool compiled = in_run || sent_to_switch(dec.instrs[i]);
+      outside_runs += compiled && !in_run ? 1u : 0u;
+      if (compiled) {
+        EXPECT_LT(tp.ops[i].h, kTHandlerCount) << prog.name << " instr " << i;
+      } else {
+        EXPECT_EQ(tp.ops[i].h, kTHandlerCount) << prog.name << " instr " << i;
+      }
+    }
+    if (&prog == &guarded) {
+      EXPECT_GE(outside_runs, 4u) << "the guarded ops and sel left runs";
     }
   }
 }
